@@ -24,10 +24,9 @@ Both engines must produce *identical virtual results* (makespan, message
 counts) — the bench asserts this, so it doubles as a semantics regression
 check on the scheduler/matching rewrite.
 
-Each case also runs on the **batched columnar core** (``engine="batched"``,
-same scheduler API) and the sweep finishes with a DAMOV-style bottleneck
-classifier: the top-scale case of every program is profiled once per
-engine and its wall time is bucketed into *dispatch* (scheduler loops),
+The sweep finishes with a DAMOV-style bottleneck classifier: the
+top-scale case of every program is profiled once on the indexed engine
+and its wall time is bucketed into *dispatch* (scheduler loops),
 *matching* (transport rendezvous), *completion-application* (symbol-table
 and memory updates) and *app* (node programs); its virtual time is split
 into *compute*, *network* (send/recv occupancy) and *fence* (idle).  The
@@ -178,9 +177,6 @@ class SeedReferenceEngine(Engine):
 
     def __init__(self, nprocs, model=None, **kw):
         kw.setdefault("transport", _SeedReferenceTransport())
-        # The baseline is always the scalar core with uncached symbol
-        # tables, whatever REPRO_ENGINE_MODE says — it measures the seed.
-        kw.setdefault("engine", "scalar")
         super().__init__(nprocs, model, **kw)
 
     def run(self, program) -> RunStats:
@@ -404,12 +400,6 @@ class BenchCase:
     messages: int
 
 
-def _batched_engine(nprocs, model=None, **kw) -> Engine:
-    """Engine factory pinned to the batched columnar core."""
-    kw.setdefault("engine", "batched")
-    return Engine(nprocs, model, **kw)
-
-
 def _execute(
     program: str, nprocs: int, engine_cls, *, jobs_per_proc: int
 ) -> RunStats:
@@ -461,13 +451,11 @@ def _run_case(
 #: Wall-time bucket per source area.  Python-level frames are attributed
 #: to the layer that owns the file; C primitives (dict/heapq/numpy calls)
 #: have no frame of their own and land in ``other``, so the buckets rank
-#: *interpreted* work — exactly the dispatch overhead the columnar core
-#: attacks.
+#: *interpreted* work.
 _WALL_BUCKETS = (
     ("matching", ("/machine/transport/", "/machine/message.py",
                   "/machine/reliable.py", "/machine/faults.py")),
-    ("dispatch", ("/machine/scheduler.py", "/machine/batched.py",
-                  "/machine/engine.py")),
+    ("dispatch", ("/machine/scheduler.py", "/machine/engine.py")),
     ("completion", ("/runtime/symtab.py", "/runtime/memory.py",
                     "/core/sections.py")),
     ("app", ("/apps/",)),
@@ -549,29 +537,23 @@ def run_engine_bench(
     jobs_per_proc: int = 16,
     seed_reference: bool = True,
     seed_fft_max_procs: int = 64,
-    batched: bool = True,
     classify: bool = True,
 ) -> dict:
     """Run the scaling sweep; return a JSON-serializable results dict.
 
-    Every case runs on the indexed scalar engine and (with ``batched``)
-    on the batched columnar core; the two must agree bit-for-bit on
-    makespan, message count, and effect count — the sweep doubles as a
-    cross-mode semantics regression.  The seed-reference baseline is
+    Every case runs on the indexed engine.  The seed-reference baseline is
     skipped for the FFT transpose above ``seed_fft_max_procs``
     processors (its O(P) scan over O(P^2) effects makes the baseline
     itself cubic — the very pathology the rewrite removes).  When both
     engines run a case, their virtual results must agree exactly; a
     mismatch raises.  With ``classify``, the largest case of each
-    program is profiled once per engine and its bottleneck recorded
+    program is profiled once and its bottleneck recorded
     (see :func:`classify_case`).
     """
     # Untimed warmup: the first engine run in a process pays one-time
     # numpy/code-path initialization that would otherwise be billed to
     # whichever case happens to run first.
     warm: list = [Engine]
-    if batched:
-        warm.append(_batched_engine)
     if seed_reference:
         warm.append(SeedReferenceEngine)
     for engine_cls in warm:
@@ -579,31 +561,12 @@ def run_engine_bench(
 
     cases: list[BenchCase] = []
     speedups: dict[str, float] = {}
-    batched_speedups: dict[str, float] = {}
     for program in programs:
         for nprocs in nprocs_list:
             new = _run_case(
                 program, nprocs, "indexed", Engine, jobs_per_proc=jobs_per_proc
             )
             cases.append(new)
-            if batched:
-                fast = _run_case(
-                    program, nprocs, "batched", _batched_engine,
-                    jobs_per_proc=jobs_per_proc,
-                )
-                cases.append(fast)
-                if (fast.makespan, fast.messages, fast.effects) != (
-                    new.makespan, new.messages, new.effects
-                ):
-                    raise AssertionError(
-                        f"engine modes diverged on {program}@{nprocs}: "
-                        f"batched {(fast.makespan, fast.messages, fast.effects)}"
-                        f" vs scalar {(new.makespan, new.messages, new.effects)}"
-                    )
-                if new.effects_per_sec:
-                    batched_speedups[f"{program}@{nprocs}"] = round(
-                        fast.effects_per_sec / new.effects_per_sec, 2
-                    )
             if not seed_reference:
                 continue
             if program == "fft" and nprocs > seed_fft_max_procs:
@@ -625,18 +588,13 @@ def run_engine_bench(
                 speedups[f"{program}@{nprocs}"] = round(
                     new.effects_per_sec / old.effects_per_sec, 2
                 )
-    classifier: list[dict] = []
-    if classify:
-        top = max(nprocs_list)
-        engines: list[tuple[str, object]] = [("indexed", Engine)]
-        if batched:
-            engines.append(("batched", _batched_engine))
-        for program in programs:
-            for engine_name, engine_cls in engines:
-                classifier.append(classify_case(
-                    program, top, engine_name, engine_cls,
-                    jobs_per_proc=jobs_per_proc,
-                ))
+    classifier = [
+        classify_case(
+            program, max(nprocs_list), "indexed", Engine,
+            jobs_per_proc=jobs_per_proc,
+        )
+        for program in programs
+    ] if classify else []
     return {
         "schema": 2,
         "config": {
@@ -647,7 +605,6 @@ def run_engine_bench(
         },
         "cases": [asdict(c) for c in cases],
         "speedups": speedups,
-        "batched_speedups": batched_speedups,
         "classifier": classifier,
         "faults_off": measure_faults_overhead(
             min(64, max(nprocs_list)), jobs_per_proc=jobs_per_proc
@@ -670,11 +627,6 @@ def format_bench(results: dict) -> str:
     if results.get("speedups"):
         pairs = ", ".join(f"{k}: {v}x" for k, v in results["speedups"].items())
         lines.append(f"speedup vs seed engine — {pairs}")
-    if results.get("batched_speedups"):
-        pairs = ", ".join(
-            f"{k}: {v}x" for k, v in results["batched_speedups"].items()
-        )
-        lines.append(f"batched core vs scalar mode — {pairs}")
     for e in results.get("classifier", []):
         wall = e["wall"]
         virt = e["virtual"]

@@ -43,8 +43,16 @@ from ..machine.model import MachineModel
 from ..machine.stats import RunStats
 
 __all__ = [
-    "run_workqueue", "make_job_costs", "workqueue_source", "WorkQueueResult",
+    "run_workqueue", "make_job_costs", "workqueue_source", "workqueue_acc_ok",
+    "WorkQueueResult",
 ]
+
+
+def _quotas(njobs: int, nworkers: int) -> list[int]:
+    """Claims per worker in :func:`workqueue_source`: the round-robin
+    counts, the first ``njobs % nworkers`` workers taking one extra."""
+    base, extra = divmod(njobs, nworkers)
+    return [base + (1 if k <= extra else 0) for k in range(1, nworkers + 1)]
 
 
 def workqueue_source(njobs: int, nprocs: int) -> str:
@@ -52,11 +60,12 @@ def workqueue_source(njobs: int, nprocs: int) -> str:
 
     The effect-layer :func:`run_workqueue` adapts to run-time load (its
     worker loop has a data-dependent trip count, beyond the static host
-    IL); this source fixes each worker's claim count in advance —
-    round-robin like the static baseline — but keeps the pool mechanism:
-    the master's sends name no recipient, and every worker's receive names
-    the same section ``JOB[1]``, so matching is the engine's FIFO pool
-    discipline.  Being static IL, it parses, verifies
+    IL); this source fixes each worker's claim *count* in advance — the
+    round-robin quota of the static baseline — but keeps the pool
+    mechanism: the master's sends name no recipient, and every worker's
+    receive names the same section ``JOB[1]``, so which worker claims
+    which job is the engine's FIFO pool discipline (check the result
+    with :func:`workqueue_acc_ok`).  Being static IL, it parses, verifies
     (:func:`~repro.core.analysis.verify_comm.verify_communication`) and
     runs on both execution paths.
     """
@@ -64,7 +73,6 @@ def workqueue_source(njobs: int, nprocs: int) -> str:
         raise ValueError("need at least one master and one worker")
     if njobs < 1:
         raise ValueError("need at least one job")
-    nworkers = nprocs - 1
     lines = [
         f"array JOB[1:{nprocs}] dist (BLOCK) seg (1)",
         f"array SLOT[1:{nprocs}] dist (BLOCK) seg (1)",
@@ -78,9 +86,7 @@ def workqueue_source(njobs: int, nprocs: int) -> str:
         "  }",
         "enddo",
     ]
-    base, extra = divmod(njobs, nworkers)
-    for w in range(2, nprocs + 1):
-        quota = base + (1 if (w - 1) <= extra else 0)
+    for w, quota in enumerate(_quotas(njobs, nprocs - 1), start=2):
         if quota == 0:
             continue
         lines += [
@@ -94,6 +100,28 @@ def workqueue_source(njobs: int, nprocs: int) -> str:
             "}",
         ]
     return "\n".join(lines) + "\n"
+
+
+def workqueue_acc_ok(acc: np.ndarray, njobs: int) -> bool:
+    """Whether a final ``ACC`` of :func:`workqueue_source` (zero-initialised)
+    satisfies what the section-2.7 pool guarantees.
+
+    The master (pid 1) claims nothing, the job values ``1..njobs`` are
+    claimed exactly once between them (so ``ACC`` sums to their total),
+    and each worker's gain lies between the sum of its quota's smallest
+    and largest distinct job values.  Which worker claims which job
+    follows the pool's FIFO matching and so depends on timing; it is not
+    the round-robin deal at every processor count.
+    """
+    acc = np.asarray(acc, dtype=np.float64)
+    if acc[0] != 0.0 or acc.sum() != njobs * (njobs + 1) / 2:
+        return False
+    for gain, quota in zip(acc[1:], _quotas(njobs, len(acc) - 1)):
+        low = quota * (quota + 1) / 2
+        high = quota * (2 * njobs - quota + 1) / 2
+        if not low <= gain <= high:
+            return False
+    return True
 
 
 @dataclass

@@ -64,13 +64,11 @@ from .faults import FaultModel
 from .model import MachineModel
 from .reliable import ReliableTransport
 from .scheduler import (  # noqa: F401  (re-exported: public API + bench shims)
-    ENGINE_MODES,
     NodeProgram,
     ProcessorContext,
     Scheduler,
     _Completion,
     _Proc,
-    default_engine_mode,
 )
 from .transport import (
     BACKENDS,
@@ -88,12 +86,10 @@ from .transport.msg import HEADER_BYTES  # noqa: F401  (re-export)
 __all__ = [
     "BACKENDS",
     "SIM_BACKENDS",
-    "ENGINE_MODES",
     "Engine",
     "HEADER_BYTES",
     "NodeProgram",
     "ProcessorContext",
-    "default_engine_mode",
 ]
 
 
@@ -107,13 +103,6 @@ class Engine(Scheduler):
     middleware stacks).  ``faults``/``reliable`` wrap the chosen backend
     in the corresponding middleware exactly as the monolithic engine
     behaved: reliable delivery *replaces* the raw lossy path.
-
-    ``engine`` selects the execution core (``"scalar"`` or ``"batched"``;
-    default: the ``REPRO_ENGINE_MODE`` environment variable, else
-    ``scalar``).  Both cores are virtual-time bit-identical; the batched
-    core is the columnar fast path of :mod:`repro.machine.batched` and
-    silently defers to the scalar oracle whenever faults, reliable
-    delivery, tracing, or a middleware-wrapped ``transport`` are active.
 
     ``backend="proc"`` resolves — via ``__new__`` — to the
     :class:`~repro.machine.procrt.ProcEngine` subclass, which executes
@@ -159,7 +148,6 @@ class Engine(Scheduler):
         reliable: ReliableTransport | None = None,
         backend: str | None = None,
         transport: Transport | None = None,
-        engine: str | None = None,
     ):
         if transport is None:
             transport = make_transport(backend)
@@ -182,7 +170,6 @@ class Engine(Scheduler):
             seed=seed,
             faults=faults,
             reliable=reliable,
-            engine=engine,
         )
 
     @property

@@ -7,7 +7,7 @@ the paper's delayed binding (section 5) taken to actual hardware — while
 keeping the full in-process simulation as the semantic oracle.  Every
 run is two passes over the identical program:
 
-1. **Oracle pass** (in-process): the inherited scalar scheduler runs the
+1. **Oracle pass** (in-process): the inherited scheduler runs the
    program over a :class:`~repro.machine.transport.proc.ProcTransport`
    (msg-identical costs) with a
    :class:`~repro.machine.transport.proc.MatchRecorder` attached.  The
@@ -67,7 +67,6 @@ import numpy as np
 from ..core.errors import (
     DegradedRunError,
     OracleMismatchError,
-    OwnershipError,
     ProtocolError,
     TransportError,
 )
@@ -136,13 +135,10 @@ def digest_symtabs(symtabs) -> str:
 
 
 def _strip_caches(st) -> None:
-    """Drop id-keyed / rebuildable caches so a table pickles soundly.
+    """Drop the rebuildable interval-index columns before pickling.
 
-    ``VariableEntry._resolve_cache`` is keyed by ``id(Section)`` — object
-    identity does not survive pickling (and freed ids can be recycled in
-    the receiving process), so it must be empty in any shipped table.
-    The interval-index columns are derived state; dropping them keeps
-    blobs lean and they rebuild on first use.
+    They are derived state: dropping them keeps blobs lean, and they
+    rebuild on first use in the receiving process.
     """
     for entry in st.variables():
         entry.invalidate_index()
@@ -180,7 +176,7 @@ class _Aborted(Exception):
 class _Worker:
     """One forked processor: replays the effect stream for ``wid``.
 
-    Clock arithmetic mirrors the scalar scheduler exactly — per-copy
+    Clock arithmetic mirrors the scheduler exactly — per-copy
     send occupancy, per-receive occupancy, compute costs, stall jumps,
     crash boundaries — while completions take their virtual times from
     the oracle plan, and are applied in ``(time, match order)`` with the
@@ -295,11 +291,7 @@ class _Worker:
     def _do_send(self, eff: Send) -> None:
         st = self.st
         if eff.kind is TransferKind.VALUE:
-            if not st.iown(eff.var, eff.sec):
-                raise OwnershipError(
-                    f"P{self.wid + 1} sends unowned section {eff.var}{eff.sec}"
-                )
-            payload = st.read(eff.var, eff.sec)
+            payload = st.read_owned(eff.var, eff.sec)
         else:
             payload = st.release_ownership(
                 eff.var, eff.sec, with_value=eff.kind is TransferKind.OWN_VALUE
@@ -529,11 +521,9 @@ class ProcEngine(Engine):
     """Engine facade of the ``proc`` backend (see module docstring).
 
     Construction sites never name this class: ``Engine(n,
-    backend="proc")`` dispatches here via ``Engine.__new__``.  The
-    in-process simulation always runs on the scalar core so the recorded
-    completion order is the semantic oracle's.  ``last_real_wall`` holds
-    the wall-clock seconds of the most recent real pass (fork to join) —
-    the number the real-speedup bench reports.
+    backend="proc")`` dispatches here via ``Engine.__new__``.
+    ``last_real_wall`` holds the wall-clock seconds of the most recent
+    real pass (fork to join) — the number the real-speedup bench reports.
     """
 
     def __init__(
@@ -551,11 +541,6 @@ class ProcEngine(Engine):
         self._run_counter = 0
         self.last_real_wall: float | None = None
         self.last_oracle_digest: str | None = None
-
-    def _use_batched_core(self) -> bool:
-        # The oracle pass must be the scalar loop: the batched core's
-        # completion-creation order is not the recorded crank order.
-        return False
 
     def _base_transport(self) -> ProcTransport:
         t = self.transport

@@ -104,15 +104,6 @@ class VariableEntry:
     # bbox and triplet-intersection chain for whole-segment queries.
     _index_exact: dict = field(default_factory=dict, repr=False, compare=False)
     _index_dirty: bool = field(default=True, repr=False, compare=False)
-    # Memoized section resolution (see RuntimeSymbolTable.enable_section_cache):
-    # id(Section) -> (overlap pairs, covers?, exact-hit descriptor, its
-    # chunk, shape, the Section itself).  Keyed by object identity — a
-    # C-int probe instead of a structural Section hash — which is sound
-    # because the record's last slot pins the key object alive (two equal
-    # sections merely produce two identical records).  None unless the
-    # owning table opted in; cleared with the index on any geometry change
-    # (state-only changes never invalidate it).
-    _resolve_cache: dict | None = field(default=None, repr=False, compare=False)
 
     #: Below this many segments a linear scan beats the index.
     INDEX_THRESHOLD = 8
@@ -129,9 +120,6 @@ class VariableEntry:
         """Must be called whenever segment *geometry* changes (segments
         added, removed, or rebound) — state-only changes don't need it."""
         self._index_dirty = True
-        cache = self._resolve_cache
-        if cache:
-            cache.clear()
 
     def _rebuild_index(self) -> None:
         order = sorted(self.segdescs, key=lambda d: d.segment.dims[0].lo)
@@ -196,62 +184,6 @@ class RuntimeSymbolTable:
         self.memory = memory if memory is not None else LocalMemory(pid)
         self.strict = strict
         self._entries: dict[str, VariableEntry] = {}
-        self._cache_enabled = False
-
-    def enable_section_cache(self) -> None:
-        """Opt in to memoized section resolution on every entry.
-
-        SPMD programs resolve the *same* few sections against the same
-        segment geometry over and over (every send, receive and await of
-        a loop body names sections from a small static set).  With the
-        cache on, each entry memoizes ``overlapping`` results keyed by
-        the *identity* of the queried
-        :class:`~repro.core.sections.Section` (programs reuse hoisted
-        section objects; each record pins its key alive, so identities
-        are stable) — along with the coverage verdict, the exact-hit
-        descriptor and its storage chunk — so the intrinsics become
-        dict hits.  Any geometry change
-        invalidates via :meth:`VariableEntry.invalidate_index` (already
-        called at every such site); state-only transitions keep the
-        cache, since resolutions record no state.
-
-        Off by default: the scalar engine keeps the paper-shaped
-        uncached lookup path, which doubles as the semantic oracle for
-        the batched engine (the only opted-in user).
-        """
-        self._cache_enabled = True
-        for e in self._entries.values():
-            if e._resolve_cache is None:
-                e._resolve_cache = {}
-
-    def _resolve(self, entry: VariableEntry, sec: Section) -> tuple:
-        """Build and memoize one resolution record for ``sec``."""
-        if entry._index_dirty:
-            entry._rebuild_index()
-        d = entry._index_exact.get(sec)
-        if d is not None:
-            # Whole-segment query: the record the generic path below would
-            # build, without running overlapping() at all.
-            res = (
-                [(d, sec)], True, d, self.memory.get(d.handle), sec.shape,
-                sec,
-            )
-            entry._resolve_cache[id(sec)] = res
-            return res
-        pairs = entry.overlapping(sec)
-        covered = 0
-        for _, inter in pairs:
-            covered += inter.size
-        covers = covered == sec.size
-        exact = chunk = None
-        if len(pairs) == 1:
-            d = pairs[0][0]
-            if d.segment == sec:
-                exact = d
-                chunk = self.memory.get(d.handle)
-        res = (pairs, covers, exact, chunk, sec.shape, sec)
-        entry._resolve_cache[id(sec)] = res
-        return res
 
     # ------------------------------------------------------------------ #
     # declaration
@@ -312,8 +244,6 @@ class RuntimeSymbolTable:
             segment_shape=segment_shape or (1,) * index_space.rank,
             dtype=np.dtype(dtype),
         )
-        if self._cache_enabled:
-            entry._resolve_cache = {}
         self._entries[name] = entry
         return entry
 
@@ -341,12 +271,6 @@ class RuntimeSymbolTable:
         entry = self._entries.get(name)
         if entry is None:
             entry = self.entry(name)
-        cache = entry._resolve_cache
-        if cache is not None:
-            res = cache.get(id(sec))
-            if res is None:
-                res = self._resolve(entry, sec)
-            return res[1]
         inters = [inter for _, inter in entry.overlapping(sec)]
         return disjoint_cover_equal(sec, inters) if inters else sec.size == 0
 
@@ -355,21 +279,6 @@ class RuntimeSymbolTable:
         entry = self._entries.get(name)
         if entry is None:
             entry = self.entry(name)
-        cache = entry._resolve_cache
-        if cache is not None:
-            res = cache.get(id(sec))
-            if res is None:
-                res = self._resolve(entry, sec)
-            exact = res[2]
-            if exact is not None:
-                return exact.state is not SegmentState.TRANSITIONAL
-            pairs = res[0]
-            if not pairs:
-                return False
-            for d, _ in pairs:
-                if d.state is SegmentState.TRANSITIONAL:
-                    return False
-            return res[1]
         inters = []
         for d, inter in entry.overlapping(sec):
             if d.state is SegmentState.TRANSITIONAL:
@@ -430,31 +339,17 @@ class RuntimeSymbolTable:
         entry = self._entries.get(name)
         if entry is None:
             entry = self.entry(name)
-        cache = entry._resolve_cache
-        if cache is not None:
-            res = cache.get(id(sec))
-            if res is None:
-                res = self._resolve(entry, sec)
-            exact = res[2]
-            if exact is not None:
-                if exact.state is SegmentState.TRANSITIONAL and self.strict:
-                    raise OwnershipError(
-                        f"P{self.pid + 1} read of transitional section {name}{sec}"
-                    )
-                return res[3].copy()
-            over = res[0]
-        else:
-            over = entry.overlapping(sec)
-            # Exact-hit fast path: the query is a whole segment.  Avoids the
-            # generic per-dimension position arithmetic and np.ix_ gather —
-            # the dominant cost of fine-grained (segment-sized) transfers.
-            if len(over) == 1 and over[0][0].segment == sec:
-                d = over[0][0]
-                if d.state is SegmentState.TRANSITIONAL and self.strict:
-                    raise OwnershipError(
-                        f"P{self.pid + 1} read of transitional section {name}{sec}"
-                    )
-                return self.memory.get(d.handle).copy()
+        over = entry.overlapping(sec)
+        # Exact-hit fast path: the query is a whole segment.  Avoids the
+        # generic per-dimension position arithmetic and np.ix_ gather —
+        # the dominant cost of fine-grained (segment-sized) transfers.
+        if len(over) == 1 and over[0][0].segment == sec:
+            d = over[0][0]
+            if d.state is SegmentState.TRANSITIONAL and self.strict:
+                raise OwnershipError(
+                    f"P{self.pid + 1} read of transitional section {name}{sec}"
+                )
+            return self.memory.get(d.handle).copy()
         out = np.zeros(sec.shape, dtype=entry.dtype)
         covered = 0
         for d, inter in over:
@@ -474,33 +369,12 @@ class RuntimeSymbolTable:
         return out
 
     def read_owned(self, name: str, sec: Section) -> np.ndarray:
-        """Ownership-checked gather: :meth:`iown` + :meth:`read` fused.
+        """Ownership-checked gather: :meth:`iown`, then :meth:`read`.
 
-        The transport's value-send path performs exactly this sequence;
-        with the section cache enabled both intrinsics hit the same
-        resolution record, so one probe answers both.  Error conditions
-        and their texts match the two-step sequence bit for bit.
+        The transport's value send reads its payload through here, so a
+        send of a section this processor does not own fails with one
+        error text on every backend.
         """
-        entry = self._entries.get(name)
-        if entry is None:
-            entry = self.entry(name)
-        cache = entry._resolve_cache
-        if cache is not None:
-            res = cache.get(id(sec))
-            if res is None:
-                res = self._resolve(entry, sec)
-            if not res[1]:
-                raise OwnershipError(
-                    f"P{self.pid + 1} sends unowned section {name}{sec}"
-                )
-            exact = res[2]
-            if exact is not None:
-                if exact.state is SegmentState.TRANSITIONAL and self.strict:
-                    raise OwnershipError(
-                        f"P{self.pid + 1} read of transitional section {name}{sec}"
-                    )
-                return res[3].copy()
-            return self.read(name, sec)
         if not self.iown(name, sec):
             raise OwnershipError(
                 f"P{self.pid + 1} sends unowned section {name}{sec}"
@@ -512,40 +386,14 @@ class RuntimeSymbolTable:
         entry = self._entries.get(name)
         if entry is None:
             entry = self.entry(name)
-        cache = entry._resolve_cache
-        if cache is not None:
-            res = cache.get(id(sec))
-            if res is None:
-                res = self._resolve(entry, sec)
-            exact = res[2]
-            if exact is not None:
-                # Whole-segment store: numpy casts scalars and matching
-                # arrays on assignment, so the asarray/reshape
-                # normalization below is only needed for mismatches.
-                chunk = res[3]
-                cls = values.__class__
-                if cls is float or cls is int:
-                    chunk[...] = values
-                    return
-                vals = np.asarray(values, dtype=entry.dtype)
-                vshape = vals.shape
-                if vshape != res[4] and vshape != ():
-                    vals = vals.reshape(res[4])
-                chunk[...] = vals
-                return
-            vals = np.asarray(values, dtype=entry.dtype)
-            if vals.shape not in ((), sec.shape):
-                vals = vals.reshape(sec.shape)
-            over = res[0]
-        else:
-            vals = np.asarray(values, dtype=entry.dtype)
-            if vals.shape not in ((), sec.shape):
-                vals = vals.reshape(sec.shape)
-            over = entry.overlapping(sec)
-            # Exact-hit fast path mirroring read(): whole-segment scatter.
-            if len(over) == 1 and over[0][0].segment == sec:
-                self.memory.get(over[0][0].handle)[...] = vals
-                return
+        vals = np.asarray(values, dtype=entry.dtype)
+        if vals.shape not in ((), sec.shape):
+            vals = vals.reshape(sec.shape)
+        over = entry.overlapping(sec)
+        # Exact-hit fast path mirroring read(): whole-segment scatter.
+        if len(over) == 1 and over[0][0].segment == sec:
+            self.memory.get(over[0][0].handle)[...] = vals
+            return
         covered = 0
         for d, inter in over:
             chunk = self.memory.get(d.handle)
@@ -569,25 +417,6 @@ class RuntimeSymbolTable:
         entry = self._entries.get(name)
         if entry is None:
             entry = self.entry(name)
-        cache = entry._resolve_cache
-        if cache is not None:
-            res = cache.get(id(sec))
-            if res is None:
-                res = self._resolve(entry, sec)
-            exact = res[2]
-            if exact is not None:
-                exact.pending_receives += 1
-                exact.state = SegmentState.TRANSITIONAL
-                return
-            for d, _ in res[0]:
-                d.pending_receives += 1
-                d.state = SegmentState.TRANSITIONAL
-            if not res[1]:
-                raise OwnershipError(
-                    f"P{self.pid + 1} initiates receive into unowned "
-                    f"section {name}{sec}"
-                )
-            return
         touched = 0
         for d, inter in entry.overlapping(sec):
             d.pending_receives += 1
@@ -604,40 +433,6 @@ class RuntimeSymbolTable:
         entry = self._entries.get(name)
         if entry is None:
             entry = self.entry(name)
-        cache = entry._resolve_cache
-        if cache is not None:
-            res = cache.get(id(sec))
-            if res is None:
-                res = self._resolve(entry, sec)
-            exact = res[2]
-            if exact is not None:
-                chunk = res[3]
-                shape = res[4]
-                if (
-                    data.__class__ is np.ndarray
-                    and data.shape == shape
-                    and data.dtype == entry.dtype
-                ):
-                    chunk[...] = data
-                else:
-                    vals = np.asarray(data, dtype=entry.dtype)
-                    vshape = vals.shape
-                    if vshape != shape and vshape != ():
-                        vals = vals.reshape(shape)
-                    chunk[...] = vals
-                if exact.pending_receives > 1:
-                    exact.pending_receives -= 1
-                else:
-                    exact.pending_receives = 0
-                    exact.state = SegmentState.ACCESSIBLE
-                return
-            self.write(name, sec, data)
-            for d, _ in res[0]:
-                d.pending_receives -= 1
-                if d.pending_receives <= 0:
-                    d.pending_receives = 0
-                    d.state = SegmentState.ACCESSIBLE
-            return
         self.write(name, sec, data)
         for d, _ in entry.overlapping(sec):
             d.pending_receives -= 1

@@ -12,6 +12,7 @@ from repro.apps import (
     run_monitor,
     run_workqueue,
 )
+from repro.apps.workqueue import workqueue_acc_ok
 from repro.core.ir.parser import parse_program
 from repro.core.ir.verify import verify_program
 from repro.machine import MachineModel
@@ -155,6 +156,20 @@ class TestWorkQueue:
         assert sum(dyn.jobs_per_worker.values()) == 17
         assert dyn.stats.unclaimed_messages == 0
         assert dyn.stats.unmatched_receives == 0
+
+    def test_acc_check_accepts_any_pool_assignment(self):
+        # 6 jobs over 3 workers, quota 2 each: the round-robin deal and a
+        # different FIFO-pool outcome both satisfy the pool's invariant.
+        assert workqueue_acc_ok(np.array([0.0, 5.0, 7.0, 9.0]), 6)
+        assert workqueue_acc_ok(np.array([0.0, 3.0, 7.0, 11.0]), 6)
+
+    def test_acc_check_rejects_broken_invariants(self):
+        # Job 6 counted twice (worker 3 also claims it).
+        assert not workqueue_acc_ok(np.array([0.0, 5.0, 7.0, 15.0]), 6)
+        # The master claims a job.
+        assert not workqueue_acc_ok(np.array([1.0, 4.0, 7.0, 9.0]), 6)
+        # Right total, but worker 1's gain is below any two distinct jobs.
+        assert not workqueue_acc_ok(np.array([0.0, 2.0, 8.0, 11.0]), 6)
 
     def test_validation(self):
         with pytest.raises(ValueError):

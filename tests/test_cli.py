@@ -129,11 +129,9 @@ class TestBench:
         data = json.loads(out_file.read_text())
         assert data["schema"] == 2
         engines = {c["engine"] for c in data["cases"]}
-        assert engines == {"indexed", "batched", "seed-reference"}
+        assert engines == {"indexed", "seed-reference"}
         assert "workqueue@2" in data["speedups"]
-        assert "workqueue@2" in data["batched_speedups"]
-        assert {e["engine"] for e in data["classifier"]} == {"indexed", "batched"}
-        assert "batched core vs scalar mode" in out
+        assert {e["engine"] for e in data["classifier"]} == {"indexed"}
         assert "bottleneck workqueue@4" in out
 
     def test_bench_diff_mode(self, tmp_path, capsys):
@@ -196,6 +194,14 @@ class TestMatmulApp:
         out = capsys.readouterr().out
         for variant in ("cannon", "summa", "gather", "outer"):
             assert f"matmul/{variant}" in out
+
+
+class TestWorkqueueApp:
+    def test_run_workqueue_correct_at_p32(self, capsys):
+        # At P >= 32 the FIFO pool no longer deals jobs round-robin; the
+        # check must accept any assignment the pool can produce.
+        assert main(["run", "--app", "workqueue", "--nprocs", "32"]) == 0
+        assert "correct=True" in capsys.readouterr().out
 
 
 class TestRedist:

@@ -3,7 +3,10 @@ hand-written node programs (generators of effects)."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.apps.workqueue import make_job_costs, run_workqueue
 from repro.core.errors import (
     BudgetExhaustedError,
     DeadlockError,
@@ -497,3 +500,108 @@ class TestTraceAndLogs:
 
         text = eng.run(prog).summary()
         assert "makespan" in text and "P2" in text
+
+
+class TestRunqInvalidation:
+    """The scheduling loop leaves invalidated ``(clock, pid)`` heap
+    entries behind and discards them lazily on pop (``nqueued``
+    tracking).  A bug there double-steps or skips a processor, which
+    changes the number of effects the engine processes."""
+
+    MODEL = MachineModel(o_send=1.0, o_recv=1.0, alpha=10.0, per_byte=0.0)
+
+    #: Pinned discrete-event "work" of the bench-config workqueue at P=8
+    #: (128 jobs, cost seed 7).  Any stale-runq mishandling (double-stepping
+    #: a processor whose heap key went stale, or dropping its only live
+    #: entry) changes this count before it changes the makespan.
+    WORKQUEUE8_EFFECTS = 541
+    WORKQUEUE8_MAKESPAN = 13118.988033086574
+    WORKQUEUE8_MESSAGES = 135
+
+    @pytest.mark.msg_timing
+    def test_workqueue8_effect_count_pinned(self):
+        costs = make_job_costs(128, skew=4.0, seed=7)
+        r = run_workqueue(
+            128, 8, scheme="dynamic", costs=costs, model=self.MODEL,
+        )
+        assert r.stats.effects_processed == self.WORKQUEUE8_EFFECTS
+        assert r.makespan == self.WORKQUEUE8_MAKESPAN
+        assert r.stats.total_messages == self.WORKQUEUE8_MESSAGES
+
+    def test_rerun_same_engine_same_counts(self):
+        """A second run on the same instance replays the same schedule —
+        leftover stale keys from run one must not leak into run two."""
+        class Recording(Engine):
+            def run(self, program):
+                self.program = program
+                return super().run(program)
+
+        engines = []
+
+        def factory(nprocs, model=None, **kw):
+            engines.append(Recording(nprocs, model, **kw))
+            return engines[-1]
+
+        costs = make_job_costs(64, skew=4.0, seed=7)
+        first = run_workqueue(
+            64, 8, scheme="dynamic", costs=costs, model=self.MODEL,
+            engine_cls=factory,
+        ).stats
+        (eng,) = engines
+        second = eng.run(eng.program)
+        assert second.effects_processed == first.effects_processed
+        assert second.makespan == first.makespan
+
+
+def _delivery_run(send_gaps, recv_gaps):
+    """Sender ships values 1..N with compute gaps; receiver posts all
+    receives up front, then awaits slots in order after its own gaps."""
+    n = len(send_gaps)
+    eng = Engine(2, MachineModel(o_send=1.0, o_recv=1.0, alpha=10.0, per_byte=0.0))
+    eng.declare("X", linear_seg(2 * (n + 1), 2))
+    base = n + 2  # receiver-owned half of the index space
+
+    def prog(ctx):
+        if ctx.pid == 0:
+            for i, gap in enumerate(send_gaps):
+                if gap:
+                    yield Compute(gap)
+                ctx.symtab.write("X", section(1), float(i + 1))
+                yield Send(TransferKind.VALUE, "X", section(1), dests=(1,))
+        else:
+            for i in range(n):
+                yield RecvInit(
+                    TransferKind.VALUE, "X", section(1),
+                    into_var="X", into_sec=section(base + i),
+                )
+            for i, gap in enumerate(recv_gaps):
+                if gap:
+                    yield Compute(gap)
+                yield WaitAccessible("X", section(base + i))
+
+    eng.run(prog)
+    return [eng.symtabs[1].read("X", section(base + i))[0] for i in range(n)]
+
+
+class TestCompletionDeliveryOrder:
+    """``_apply_due_completions`` pops due completions straight off the
+    heap until the head lies in the future; every application must
+    happen in global ``(time, seq)`` order regardless of arrival
+    interleaving."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        gaps=st.lists(
+            st.tuples(
+                st.floats(0.0, 40.0, allow_nan=False, width=32),
+                st.floats(0.0, 40.0, allow_nan=False, width=32),
+            ),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    def test_fifo_by_initiation(self, gaps):
+        """Whatever the timing interleaving, same-tag completions apply
+        in (time, seq) order, so slots fill FIFO-by-initiation."""
+        slots = _delivery_run([g[0] for g in gaps], [g[1] for g in gaps])
+        assert slots == [float(i + 1) for i in range(len(gaps))]

@@ -332,89 +332,27 @@ class TestResultTransparency:
         assert runs["msg"].result.tobytes() == runs["shmem"].result.tobytes()
 
 
-ENGINE_MODES_UNDER_TEST = ("scalar", "batched")
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_deadlock_report_deterministic(backend):
+    """Every backend diagnoses a deadlock, listing its pending
+    obligations, with the same text on a replay."""
+    from repro.core.errors import DeadlockError
 
+    def deadlocked():
+        eng = make_engine(backend, nprocs=2)
 
-class TestEngineModeEquivalence:
-    """The batched columnar core is an optimization, not a semantic fork.
+        def prog(ctx):
+            # Both processors wait for a message nobody sends.
+            yield RecvInit(
+                TransferKind.VALUE, "X", section(1),
+                into_var="X", into_sec=section(3 * ctx.pid + 2),
+            )
+            yield WaitAccessible("X", section(3 * ctx.pid + 2))
 
-    For every backend, the scalar loop (the semantic oracle) and the
-    batched core must produce bit-identical result arrays, identical
-    virtual timings/counts, and byte-identical deadlock diagnoses.  The
-    engine mode is selected through ``REPRO_ENGINE_MODE`` exactly as the
-    CI matrix does.
-    """
+        with pytest.raises(DeadlockError) as ei:
+            eng.run(prog)
+        return str(ei.value)
 
-    def _per_mode(self, monkeypatch, fn):
-        out = {}
-        for mode in ENGINE_MODES_UNDER_TEST:
-            monkeypatch.setenv("REPRO_ENGINE_MODE", mode)
-            out[mode] = fn()
-        return out
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_jacobi_bit_identical(self, backend, monkeypatch):
-        from repro.apps.jacobi import run_jacobi
-
-        runs = self._per_mode(
-            monkeypatch,
-            lambda: run_jacobi(16, 4, 3, "halo-overlap", backend=backend),
-        )
-        assert all(r.correct for r in runs.values())
-        assert runs["scalar"].result.tobytes() == \
-               runs["batched"].result.tobytes()
-        assert runs["scalar"].stats.makespan == runs["batched"].stats.makespan
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_fft3d_bit_identical(self, backend, monkeypatch):
-        from repro.apps.fft3d import run_fft3d
-
-        runs = self._per_mode(
-            monkeypatch, lambda: run_fft3d(4, 4, 2, backend=backend)
-        )
-        assert all(r.correct for r in runs.values())
-        assert runs["scalar"].result.tobytes() == \
-               runs["batched"].result.tobytes()
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_workqueue_counts_identical(self, backend, monkeypatch):
-        from repro.apps.workqueue import make_job_costs, run_workqueue
-
-        costs = make_job_costs(48, skew=4.0, seed=7)
-        runs = self._per_mode(
-            monkeypatch,
-            lambda: run_workqueue(
-                48, 4, scheme="dynamic", costs=costs, model=MODEL,
-                backend=backend,
-            ),
-        )
-        sc, ba = runs["scalar"], runs["batched"]
-        assert sc.makespan == ba.makespan
-        assert sc.stats.total_messages == ba.stats.total_messages
-        assert sc.stats.effects_processed == ba.stats.effects_processed
-        assert sc.jobs_per_worker == ba.jobs_per_worker
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_deadlock_report_identical(self, backend, monkeypatch):
-        """Both modes must diagnose the same deadlock with the same text
-        (the report is pinned as a deterministic function of the state)."""
-        from repro.core.errors import DeadlockError
-
-        def deadlocked():
-            eng = make_engine(backend, nprocs=2)
-
-            def prog(ctx):
-                # Both processors wait for a message nobody sends.
-                yield RecvInit(
-                    TransferKind.VALUE, "X", section(1),
-                    into_var="X", into_sec=section(3 * ctx.pid + 2),
-                )
-                yield WaitAccessible("X", section(3 * ctx.pid + 2))
-
-            with pytest.raises(DeadlockError) as ei:
-                eng.run(prog)
-            return str(ei.value)
-
-        reports = self._per_mode(monkeypatch, deadlocked)
-        assert reports["scalar"] == reports["batched"]
-        assert "pending" in reports["scalar"]
+    report = deadlocked()
+    assert report == deadlocked()
+    assert "pending" in report
