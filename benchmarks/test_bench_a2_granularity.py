@@ -39,13 +39,11 @@ def plan_for(seg_size: int):
 def program_for(seg_size: int):
     """Compiler-generated redistribution via repro.core.redistgen."""
     from repro.core.ir.nodes import ArrayDecl, Block as IRBlock, Program
-    from repro.core.redistgen import redistribution_statements
+    from repro.core.redistgen import redistribution_code
 
     plan = plan_for(seg_size)
     decl = ArrayDecl("A", ((1, N),), dist="(BLOCK)", segment_shape=(seg_size,))
-    return Program(
-        (decl,), IRBlock(tuple(redistribution_statements("A", plan)))
-    )
+    return Program((decl,), IRBlock(tuple(redistribution_code("A", plan))))
 
 
 def run(seg_size: int):

@@ -308,7 +308,7 @@ def _fft_distributions(n: int, nprocs: int):
 def fft3d_redistribution_schedule(
     n: int, nprocs: int, *, max_temp_frac: float = STAGE3_TEMP_FRAC
 ):
-    """Stage 3's bounded repartition schedule (for memory accounting)."""
+    """Stage 3's bounded repartition schedule."""
     from ..core.collectives.planner import plan_bounded_redistribution
 
     decl, source, target = _fft_distributions(n, nprocs)
@@ -324,12 +324,13 @@ def _general_stage3(n: int, nprocs: int) -> str:
     the bounded redistribution planner: the all-at-once pairwise exchange
     becomes temp-memory-bounded rounds, each fenced by its ``await``
     epilogue, trading a little latency for a third of the peak."""
-    from ..tune.rewrite import planner_redistribution_text
+    from ..core.ir.printer import print_stmt
+    from ..core.redistgen import redistribution_code
 
-    decl, source, target = _fft_distributions(n, nprocs)
-    rounds = planner_redistribution_text(
-        "A", source, target, decl, max_temp_frac=STAGE3_TEMP_FRAC,
+    code = redistribution_code(
+        "A", fft3d_redistribution_schedule(n, nprocs), "planner"
     )
+    rounds = "\n".join(line for s in code for line in print_stmt(s))
     return f"""{_decl(n, n)}
 do k = max(1, mylb(A[*,*,*], 3)), min({n}, myub(A[*,*,*], 3))
   do i = 1, {n}

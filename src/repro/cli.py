@@ -90,6 +90,7 @@ from pathlib import Path
 import numpy as np
 
 from .core.codegen import lower
+from .core.errors import XDPError
 from .core.interp import Interpreter
 from .core.ir.nodes import CollectiveStmt, Guarded, RecvStmt, SendStmt
 from .core.ir.parser import parse_program
@@ -397,8 +398,6 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         src = fft3d_source(args.n, args.nprocs, args.stage)
         what = f"fft3d n={args.n} stage={args.stage}"
     model = _MODELS[args.model]()
-    if args.knobs and args.realizations:
-        raise SystemExit("pass either --knobs or --realizations, not both")
     store = args.store
     if args.shards and store is None:
         # Sharded workers need a shared store; a throwaway one will do.
@@ -411,8 +410,6 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         args.nprocs,
         model=model,
         top_k=args.top_k,
-        realizations=(tuple(args.realizations.split(","))
-                      if args.realizations else None),
         knobs=_parse_knobs(args.knobs) if args.knobs else None,
         budget_s=args.budget,
         shards=args.shards,
@@ -717,12 +714,10 @@ def build_parser() -> argparse.ArgumentParser:
     u.add_argument("--model", default="default", choices=sorted(_MODELS))
     u.add_argument("--top-k", type=int, default=4,
                    help="first engine wave size (waves then halve)")
-    u.add_argument("--realizations", default=None,
-                   help="legacy: redistribution realizations to consider "
-                        "(default: the full knob space)")
     u.add_argument("--knobs", default=None, metavar="SPEC",
                    help="pass-level knob space, e.g. "
-                        "'bulk,pipelined,planner@0.25,planner@0.5'")
+                        "'bulk,pipelined,planner@0.25,planner@0.5' "
+                        "(default: the full knob space)")
     u.add_argument("--budget", type=float, default=60.0, metavar="SECONDS",
                    help="wall-clock budget checked between engine waves")
     u.add_argument("--shards", type=int, default=None,
@@ -840,6 +835,11 @@ def main(argv: list[str] | None = None) -> int:
         return args.fn(args)
     except BrokenPipeError:  # piping into `head` etc.
         return 0
+    except XDPError as exc:
+        # Library errors describe bad input (a malformed program, an
+        # untunable one, an impossible budget): report, don't trace.
+        print(f"repro: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -1,9 +1,10 @@
 """Memory-bounded redistribution planning.
 
-The legacy path (:func:`repro.core.redistgen.redistribution_statements`
-over a full :class:`~repro.distributions.RedistributionPlan`) materialises
-*every* transfer at once: each processor posts all its receives up-front,
-so peak per-processor temporary memory equals its total incoming volume.
+The all-at-once lowering of a full
+:class:`~repro.distributions.RedistributionPlan` (the ``bulk`` realization
+of :func:`repro.core.redistgen.redistribution_code`) materialises *every*
+transfer at once: each processor posts all its receives up-front, so
+peak per-processor temporary memory equals its total incoming volume.
 For a repartitioning like the FFT's ``(*, *, BLOCK) → (*, BLOCK, *)``
 that is ``(P-1)/P`` of the local array — all of it buffered simultaneously.
 
@@ -14,7 +15,8 @@ fence (await) after each round's receives.  Moves larger than the budget
 are split along their longest axis until they fit (the budget never drops
 below one element).  Because the rounds partition the direct plan's moves
 exactly, composing them is equivalent to the direct redistribution —
-the round-trip property the tests pin down."""
+the round-trip property the tests pin down.  The schedule lowers to code
+through the same emitter, as its ``planner`` realization."""
 
 from __future__ import annotations
 
@@ -26,7 +28,6 @@ from ...distributions.redistribute import (
     Move, RedistributionPlan, plan_redistribution,
 )
 from ..errors import DistributionError
-from ..ir.nodes import Stmt
 from ..sections import Section, Triplet
 
 __all__ = [
@@ -108,23 +109,6 @@ class RedistSchedule:
             for pid, b in r.incoming_bytes(self.elem_bytes).items():
                 total[pid] = total.get(pid, 0) + b
         return max(total.values(), default=0)
-
-    def statements(self, var: str, *, with_value: bool = True) -> list[Stmt]:
-        """IL+XDP statements realising the schedule: each round is the
-        legacy linked send/receive pairs plus per-receiver awaits, so a
-        processor fences its round-``r`` receives before touching round
-        ``r+1``."""
-        from ..redistgen import redistribution_statements
-
-        out: list[Stmt] = []
-        for r in self.rounds:
-            plan = RedistributionPlan(self.source, self.target, r.moves)
-            out.extend(
-                redistribution_statements(
-                    var, plan, with_value=with_value, awaits=True
-                )
-            )
-        return out
 
     def summary(self) -> dict:
         naive = self.naive_peak_bytes

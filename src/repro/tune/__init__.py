@@ -2,19 +2,18 @@
 
 The paper optimizes the 3-D FFT's distributions and segmentations *by
 hand*, in three stages.  XDP's explicit representation is what makes that
-optimization mechanical — so this package performs it automatically:
-
-XDP's explicit representation is what makes that optimization mechanical
-— so this package performs it automatically, as a four-stage pipeline:
+optimization mechanical — so this package performs it automatically, as a
+four-stage pipeline:
 
 * :mod:`~repro.tune.space` — **space**: lazy enumeration of candidate
   placements (distribution-spec x segmentation x grid-shape) per phase,
   crossed with pass-level knobs, described by :class:`SpaceSpec` without
   materializing;
 * :mod:`~repro.tune.prefilter` — **ranking**: every space point scored by
-  the analytic cost model (:mod:`~repro.tune.cost`), deduplicated by
-  emission identity, vetted by the communication verifier, cut to a
-  shortlist under an explicit candidate budget;
+  the analytic cost model (:mod:`~repro.tune.cost`), realized as
+  programs, deduplicated by structural equality, vetted by the
+  communication verifier, cut to a shortlist under an explicit candidate
+  budget;
 * :mod:`~repro.tune.evaluate` — **evaluation**: shortlisted candidates run
   on the real :class:`~repro.machine.engine.Engine`, in-process or sharded
   across supervised workers, memoized through the content-addressed
@@ -22,7 +21,8 @@ XDP's explicit representation is what makes that optimization mechanical
 * :mod:`~repro.tune.search` — **search**: budgeted successive halving over
   the ranked shortlist with a baseline-fallback safety net;
 * :mod:`~repro.tune.rewrite` — phase detection and regeneration of the
-  program under the chosen placements and realization.
+  program under the chosen placements and realization (the transfers
+  themselves come from :mod:`repro.core.redistgen`).
 
 See docs/TUNING.md for the full design.
 """

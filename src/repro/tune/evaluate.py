@@ -24,6 +24,7 @@ import json
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -68,19 +69,20 @@ class EvalTask:
     label: str = ""
     backend: str = "msg"
 
+    @cached_property
     def source_text(self) -> str:
         """Canonical source form: parsed programs print through the IR
-        printer, so a :class:`Program` and its printed text — and an
-        in-process task and the serve job carrying it — share one
-        identity (digest, store key, artifact)."""
+        printer (once per task), so a :class:`Program` and its printed
+        text — and an in-process task and the serve job carrying it —
+        share one identity (digest, store key, artifact)."""
         return (
             self.program if isinstance(self.program, str)
             else print_program(self.program)
         )
 
-    @property
+    @cached_property
     def digest(self) -> str:
-        key = repr((self.source_text(), self.nprocs,
+        key = repr((self.source_text, self.nprocs,
                     sorted(asdict(self.model).items()),
                     self.path, self.seed, self.backend))
         return hashlib.sha256(key.encode()).hexdigest()
@@ -213,7 +215,7 @@ def _store_key(task: EvalTask):
     """
     from ..serve.store import ArtifactKey
 
-    src = task.source_text()
+    src = task.source_text
     config = {
         "kind": "eval",
         "nprocs": task.nprocs,
@@ -384,7 +386,7 @@ def evaluate_sharded(
         specs = [
             JobSpec(
                 kind="eval",
-                source=tasks[i].source_text(),
+                source=tasks[i].source_text,
                 nprocs=tasks[i].nprocs,
                 backend=tasks[i].backend,
                 seed=tasks[i].seed,

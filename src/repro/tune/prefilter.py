@@ -14,8 +14,10 @@ node costs are cached per (placement, candidate, knob), and selection
 keeps a bounded top-N, so memory is O(shortlist), not O(space).
 
 The shortlist is then *realized*: each surviving path is regenerated as
-program text, textual duplicates collapse (different knobs can emit the
-same program, e.g. any realization of an all-local path), and candidates
+a :class:`~repro.core.ir.nodes.Program`, structurally equal programs
+collapse (different knobs and layouts can emit the same program, e.g. any
+realization of an all-local path, or ``BLOCK`` and ``CYCLIC`` on an
+extent equal to the processor count), and candidates
 the communication verifier rejects are demoted — recorded with their
 knob tuple and the :class:`~repro.core.analysis.verify_comm.CommReport`
 summary, never silently dropped, never sent to the engine.  An empty
@@ -31,7 +33,6 @@ import numpy as np
 
 from ..core.analysis.verify_comm import verify_communication
 from ..core.ir.nodes import ArrayDecl, Program
-from ..core.ir.parser import parse_program
 from ..core.collectives.planner import plan_bounded_redistribution
 from ..distributions import Distribution, plan_redistribution
 from ..machine.model import MachineModel
@@ -45,12 +46,12 @@ __all__ = ["PrefilterResult", "RankedCandidate", "prefilter"]
 @dataclass(frozen=True)
 class RankedCandidate:
     """One shortlisted point: a layout path × knob with its static score
-    and (once realized) the generated program text."""
+    and (once realized) the generated program."""
 
     score: float
     layouts: tuple[LayoutCandidate, ...]
     knob: KnobPoint
-    source: str = ""
+    program: Program | None = None
 
     @property
     def sort_key(self) -> tuple:
@@ -205,8 +206,8 @@ def prefilter(
     ``budget`` caps how many candidates may reach the engine.  Selection
     is a deterministic streaming top-N (ties broken by the candidates'
     canonical keys); realization walks the ranking in order, skipping
-    textual duplicates and demoting verifier rejections, until ``budget``
-    candidates survive or the ranking is exhausted.
+    structurally equal programs and demoting verifier rejections, until
+    ``budget`` candidates survive or the ranking is exhausted.
     """
     decl = next(d for d in program.array_decls() if d.name == phases[0].var)
     itemsize = int(np.dtype(decl.dtype).itemsize)
@@ -285,24 +286,24 @@ def prefilter(
 
     shortlist: list[RankedCandidate] = []
     demoted: list[dict] = []
-    seen_sources: set[str] = set()
+    seen: set[Program] = set()
     for rc in ranking:
         if len(shortlist) >= budget:
             break
-        src = generate_phased_program(
+        generated = generate_phased_program(
             program, phases, rc.layouts, space.nprocs,
             realization=rc.knob.realization,
             max_temp_frac=(rc.knob.max_temp_frac
                            if rc.knob.max_temp_frac is not None else 0.5),
         )
-        if src in seen_sources:
-            # The emission key is a conservative prediction; the generated
-            # text is the ground truth for duplicate detection.
+        if generated in seen:
+            # The emission key is a conservative prediction; structural
+            # equality of the generated programs is the ground truth.
             deduped += 1
             continue
-        seen_sources.add(src)
+        seen.add(generated)
         report = verify_communication(
-            parse_program(src), space.nprocs, backend=backend
+            generated, space.nprocs, backend=backend
         )
         if not report.ok:
             # A rejected rewrite is a rewriter bug, not a bad score —
@@ -315,7 +316,9 @@ def prefilter(
                 "reason": report.format(),
             })
             continue
-        shortlist.append(RankedCandidate(rc.score, rc.layouts, rc.knob, src))
+        shortlist.append(
+            RankedCandidate(rc.score, rc.layouts, rc.knob, generated)
+        )
 
     if not shortlist:
         detail = "\n".join(

@@ -28,10 +28,11 @@ Generated code uses the idioms of the paper's hand stages:
   ``await`` epilogue before the next round's sends (the memory-bounded
   shape of the ``repro redist`` planner, here as a tuning knob).
 
-Transfer statements that share a guard are emitted as one guarded block:
-every processor evaluates every top-level guard, so at P processors a
-flat per-move emission charges P × moves guard evaluations — enough to
-erase a repartitioning's win at n=16/P=16.  Grouping charges P × senders.
+The result is a :class:`~repro.core.ir.nodes.Program`.  Transfer
+statements come from :func:`~repro.core.redistgen.redistribution_code`,
+the one lowering of redistribution moves (dedup, ordering and
+same-guard grouping live there); this module builds only the phase
+loops around them.
 """
 
 from __future__ import annotations
@@ -43,11 +44,12 @@ import numpy as np
 
 from ..core.analysis.layouts import build_segmentation
 from ..core.collectives.planner import plan_bounded_redistribution
+from ..core.errors import XDPError
 from ..core.ir.nodes import (
-    ArrayDecl, ArrayRef, Block, CallStmt, DoLoop, Full, Guarded, IfStmt,
-    Program, Stmt,
+    ArrayDecl, ArrayRef, Await, BinOp, Block, CallStmt, DoLoop, Full,
+    Guarded, IfStmt, Index, IntConst, Iown, Mylb, Myub, Program, Stmt, VarRef,
 )
-from ..core.sections import Section, Triplet
+from ..core.redistgen import REALIZATIONS, redistribution_code
 from ..distributions import ProcessorGrid, plan_redistribution
 from .space import LayoutCandidate, candidate_segmentation
 
@@ -57,15 +59,12 @@ __all__ = [
     "TuneError",
     "detect_phases",
     "generate_phased_program",
-    "planner_redistribution_text",
 ]
-
-REALIZATIONS = ("bulk", "pipelined", "planner")
 
 _VARS = "ijklmnpqr"
 
 
-class TuneError(Exception):
+class TuneError(XDPError):
     """The program is outside the tuner's scope (or tuning failed)."""
 
 
@@ -134,30 +133,6 @@ def detect_phases(program: Program) -> list[PhaseSpec]:
 # ---------------------------------------------------------------------- #
 
 
-def _sub_text(t: Triplet) -> str:
-    if t.size == 1:
-        return str(t.lo)
-    base = f"{t.lo}:{t.hi}"
-    return base if t.step == 1 else f"{base}:{t.step}"
-
-
-def _sec_text(var: str, sec: Section) -> str:
-    return f"{var}[{', '.join(_sub_text(t) for t in sec.dims)}]"
-
-
-def _decl_text(decl: ArrayDecl) -> str:
-    bounds = ",".join(f"{lo}:{hi}" for lo, hi in decl.bounds)
-    out = f"array {decl.name}[{bounds}] dist {decl.dist}"
-    if decl.segment_shape is not None:
-        out += f" seg ({','.join(map(str, decl.segment_shape))})"
-    return out + f" dtype {decl.dtype}"
-
-
-def _ref(var: str, rank: int, parts: dict[int, str]) -> str:
-    subs = [parts.get(a, "*") for a in range(rank)]
-    return f"{var}[{', '.join(subs)}]"
-
-
 def _single_dist_axis(cand: LayoutCandidate) -> int:
     axes = cand.distributed_axes()
     if len(axes) != 1:
@@ -169,166 +144,44 @@ def _single_dist_axis(cand: LayoutCandidate) -> int:
 
 
 def _phase_loop(
-    decl: ArrayDecl,
-    phase: PhaseSpec,
-    cand: LayoutCandidate,
-    *,
-    guard: str,
-    fused: Sequence[str] = (),
-) -> list[str]:
+    decl: ArrayDecl, phase: PhaseSpec, cand: LayoutCandidate, *, guard: str
+) -> DoLoop:
     """The compute loop of one phase under one layout.
 
     ``guard`` is ``"iown"`` (no incoming data), ``"await"`` (hoisted
-    per-slab wait) or ``"await-sunk"`` (per-pencil wait).  ``fused`` lines
-    are appended inside the outer loop body (pipelined sends).
+    per-slab wait) or ``"await-sunk"`` (per-pencil wait).
     """
-    rank = decl.rank
-    n = decl.shape
     d = _single_dist_axis(cand)
     if d == phase.axis:
         raise TuneError("phase axis cannot be distributed")
-    t = next(a for a in range(rank) if a not in (phase.axis, d))
+    t = next(a for a in range(decl.rank) if a not in (phase.axis, d))
     dv, tv = _VARS[d], _VARS[t]
-    full = _ref(decl.name, rank, {})
-    slab = _ref(decl.name, rank, {d: dv})
-    pencil = _ref(decl.name, rank, {d: dv, t: tv})
-    lo_d, hi_d = decl.bounds[d]
-    lo_t, hi_t = decl.bounds[t]
-    lines = [
-        f"do {dv} = max({lo_d}, mylb({full}, {d + 1})), "
-        f"min({hi_d}, myub({full}, {d + 1}))"
-    ]
+
+    def ref(parts: dict[int, str]) -> ArrayRef:
+        return ArrayRef(decl.name, tuple(
+            Index(VarRef(parts[a])) if a in parts else Full()
+            for a in range(decl.rank)
+        ))
+
+    full, slab, pencil = ref({}), ref({d: dv}), ref({d: dv, t: tv})
+    call = CallStmt(phase.kernel, (pencil,))
+    (lo_d, hi_d), (lo_t, hi_t) = decl.bounds[d], decl.bounds[t]
+
+    def pencils(body: Stmt) -> DoLoop:
+        return DoLoop(tv, IntConst(lo_t), IntConst(hi_t), body=Block((body,)))
+
     if guard == "await-sunk":
-        lines += [
-            f"  do {tv} = {lo_t}, {hi_t}",
-            f"    await({pencil}) : {{",
-            f"      call {phase.kernel}({pencil})",
-            f"    }}",
-            f"  enddo",
-        ]
+        inner = pencils(Guarded(Await(pencil), Block((call,))))
     else:
-        head = "await" if guard == "await" else "iown"
-        lines += [
-            f"  {head}({slab}) : {{",
-            f"    do {tv} = {lo_t}, {hi_t}",
-            f"      call {phase.kernel}({pencil})",
-            f"    enddo",
-            f"  }}",
-        ]
-    lines += [f"  {line}" for line in fused]
-    lines.append("enddo")
-    return lines
-
-
-def _emit_grouped(pairs: Sequence[tuple[str, str]]) -> list[str]:
-    """Render ``(guard, statement)`` pairs, merging consecutive runs that
-    share a guard into one guarded block.
-
-    Guards at statement level are evaluated by *every* processor, so a
-    run of k statements under the same guard costs P × k evaluations flat
-    but only P when grouped — the difference between a repartitioning
-    that beats the naive program and one that loses to it.
-    """
-    out: list[str] = []
-    i = 0
-    while i < len(pairs):
-        guard = pairs[i][0]
-        j = i
-        while j < len(pairs) and pairs[j][0] == guard:
-            j += 1
-        body = [p[1] for p in pairs[i:j]]
-        if len(body) == 1:
-            out.append(f"{guard} : {{ {body[0]} }}")
-        else:
-            out.append(f"{guard} : {{")
-            out.extend(f"  {b}" for b in body)
-            out.append("}")
-        i = j
-    return out
-
-
-def _dedup_moves(moves: Iterable) -> list:
-    """Sorted, deduplicated moves with degenerate self-sends dropped (a
-    processor messaging itself deadlocks; the data is already in place)."""
-    seen: set[tuple[int, int, str]] = set()
-    out = []
-    for m in sorted(moves, key=lambda m: (m.src, m.dst, str(m.section))):
-        key = (m.src, m.dst, str(m.section))
-        if m.src == m.dst or key in seen:
-            continue
-        seen.add(key)
-        out.append(m)
-    return out
-
-
-def _planner_rounds(
-    var: str,
-    current,
-    target,
-    plan,
-    decl: ArrayDecl,
-    *,
-    max_temp_frac: float,
-) -> list[str]:
-    """Bounded-round redistribution text: per round, grouped sends, then
-    grouped receives, then the ``await`` epilogue that closes the round —
-    receivers drain a round before the program order reaches the next
-    round's transfers, which is what bounds their temp memory."""
-    schedule = plan_bounded_redistribution(
-        current,
-        target,
-        max_temp_frac=max_temp_frac,
-        elem_bytes=np.dtype(decl.dtype).itemsize,
-        plan=plan,
+        rule = Await(slab) if guard == "await" else Iown(slab)
+        inner = Guarded(rule, Block((pencils(call),)))
+    axis = IntConst(d + 1)
+    return DoLoop(
+        dv,
+        BinOp("max", IntConst(lo_d), Mylb(full, axis)),
+        BinOp("min", IntConst(hi_d), Myub(full, axis)),
+        body=Block((inner,)),
     )
-    lines: list[str] = []
-    for r, rnd in enumerate(schedule.rounds):
-        moves = _dedup_moves(rnd.moves)
-        if not moves:
-            continue
-        lines.append(
-            f"// redistribution round {r + 1}/{schedule.round_count} "
-            f"(peak temp {schedule.peak_temp_bytes} B "
-            f"of naive {schedule.naive_peak_bytes} B)"
-        )
-        lines += _emit_grouped([
-            (f"mypid == {m.src + 1}",
-             f"{_sec_text(var, m.section)} -=> {{{m.dst + 1}}}")
-            for m in moves
-        ])
-        recv_order = sorted(moves, key=lambda m: (m.dst, m.src, str(m.section)))
-        lines += _emit_grouped([
-            (f"mypid == {m.dst + 1}", f"{_sec_text(var, m.section)} <=-")
-            for m in recv_order
-        ])
-        lines += _emit_grouped([
-            (f"mypid == {m.dst + 1}", f"await({_sec_text(var, m.section)})")
-            for m in recv_order
-        ])
-    return lines
-
-
-def planner_redistribution_text(
-    var: str,
-    current,
-    target,
-    decl: ArrayDecl,
-    *,
-    max_temp_frac: float = 0.5,
-) -> str:
-    """IL text of a temp-memory-bounded redistribution ``current → target``.
-
-    The rounds come from the collective planner
-    (:func:`~repro.core.collectives.planner.plan_bounded_redistribution`);
-    each round is grouped sends, grouped receives, and an ``await``
-    epilogue fencing the round, so no receiver ever buffers more than the
-    planner's budget.  Used by applications (the section-4 FFT's bounded
-    repartition stage) as well as the tuner's ``planner`` realization.
-    """
-    plan = plan_redistribution(current, target)
-    return "\n".join(_planner_rounds(
-        var, current, target, plan, decl, max_temp_frac=max_temp_frac,
-    ))
 
 
 def generate_phased_program(
@@ -339,15 +192,17 @@ def generate_phased_program(
     *,
     realization: str = "bulk",
     max_temp_frac: float = 0.5,
-) -> str:
+) -> Program:
     """Re-emit ``program`` as its phase sequence under chosen placements.
 
     ``layouts[p]`` is the placement for ``phases[p]``; the initial
     placement is the declaration's.  Redistribution between differing
-    placements is planned element-exactly and emitted after the producing
-    phase (``bulk``), fused into it per outer slab (``pipelined``), or
-    packed into temp-memory-bounded rounds (``planner``, budgeted by
-    ``max_temp_frac`` of the largest per-processor footprint).
+    placements is planned element-exactly and lowered by
+    :func:`~repro.core.redistgen.redistribution_code`: emitted after the
+    producing phase (``bulk``), fused into it per outer slab
+    (``pipelined``), or packed into temp-memory-bounded rounds
+    (``planner``, budgeted by ``max_temp_frac`` of the largest
+    per-processor footprint).
     """
     if realization not in REALIZATIONS:
         raise TuneError(
@@ -362,86 +217,37 @@ def generate_phased_program(
     if decl.universal or decl.dist is None:
         raise TuneError(f"{decl.name} has no placement to tune")
     grid = ProcessorGrid((nprocs,))
-    var = decl.name
 
     current = build_segmentation(decl, grid).distribution
-    out: list[str] = [_decl_text(decl), ""]
-    blocks: list[list[str]] = []
+    body: list[Stmt] = []
     for idx, (phase, cand) in enumerate(zip(phases, layouts)):
         target = candidate_segmentation(decl, cand, nprocs).distribution
         plan = plan_redistribution(current, target)
         guard = "iown"
-        moves = _dedup_moves(plan.moves)
-        if moves:
+        if plan.moves:
             src_axes = [
                 a for a, s in enumerate(current.specs) if not s.collapsed
             ]
-            src_axis = src_axes[0] if len(src_axes) == 1 else None
             if realization == "planner":
-                blocks.append(_planner_rounds(
-                    var, current, target, plan, decl,
-                    max_temp_frac=max_temp_frac,
-                ))
-                guard = "await"
-            elif realization == "pipelined" and idx > 0 and src_axis is not None:
-                ov = _VARS[src_axis]
-                send_pairs: list[tuple[str, str]] = []
-                recv_pairs: list[tuple[str, str]] = []
-                frags = []
-                for m in moves:
-                    for coord in m.section.dims[src_axis]:
-                        frag = Section(tuple(
-                            Triplet(coord, coord, 1) if a == src_axis else t
-                            for a, t in enumerate(m.section.dims)
-                        ))
-                        frags.append((m.src, coord, m.dst, frag))
-                # Group sends by (source, loop coordinate): one fused
-                # guard per produced slab, fanning out to every consumer.
-                frags.sort(key=lambda f: (f[0], f[1], f[2], str(f[3])))
-                for src, coord, dst, frag in frags:
-                    send_pairs.append((
-                        f"mypid == {src + 1} and {ov} == {coord}",
-                        f"{_sec_text(var, frag)} -=> {{{dst + 1}}}",
-                    ))
-                for src, coord, dst, frag in sorted(
-                    frags, key=lambda f: (f[2], f[0], f[1], str(f[3]))
-                ):
-                    recv_pairs.append((
-                        f"mypid == {dst + 1}", f"{_sec_text(var, frag)} <=-"
-                    ))
-                blocks[-1] = _rebuild_with_fused(
-                    blocks[-1], _emit_grouped(send_pairs)
+                body += redistribution_code(
+                    decl.name,
+                    plan_bounded_redistribution(
+                        current, target, max_temp_frac=max_temp_frac,
+                        elem_bytes=np.dtype(decl.dtype).itemsize, plan=plan,
+                    ),
+                    "planner",
                 )
-                blocks.append(_emit_grouped(recv_pairs))
+                guard = "await"
+            elif (realization == "pipelined" and idx > 0
+                  and len(src_axes) == 1):
+                body += redistribution_code(
+                    decl.name, plan, "pipelined",
+                    producer=body.pop(), axis=src_axes[0],
+                )
                 guard = "await-sunk"
             else:
-                blocks.append(_emit_grouped([
-                    (f"mypid == {m.src + 1}",
-                     f"{_sec_text(var, m.section)} -=> {{{m.dst + 1}}}")
-                    for m in moves
-                ]))
-                blocks.append(_emit_grouped([
-                    (f"mypid == {m.dst + 1}",
-                     f"{_sec_text(var, m.section)} <=-")
-                    for m in sorted(
-                        moves, key=lambda m: (m.dst, m.src, str(m.section))
-                    )
-                ]))
+                body += redistribution_code(decl.name, plan, "bulk")
                 guard = "await"
-        comment = f"// phase {idx + 1}: {phase.kernel} along axis " \
-                  f"{phase.axis + 1} under {cand.dist}"
-        blocks.append([comment] + _phase_loop(decl, phase, cand, guard=guard))
+        body.append(_phase_loop(decl, phase, cand, guard=guard))
         current = target
-
-    for b in blocks:
-        out.extend(b)
-        out.append("")
-    return "\n".join(out)
-
-
-def _rebuild_with_fused(loop_lines: list[str], fused: list[str]) -> list[str]:
-    """Insert fused send lines just before the closing ``enddo`` of the
-    previous phase's outer loop."""
-    if not loop_lines or loop_lines[-1] != "enddo":
-        raise TuneError("cannot fuse sends: previous phase has no outer loop")
-    return loop_lines[:-1] + [f"  {line}" for line in fused] + ["enddo"]
+    return Program((decl,), Block(tuple(body)))

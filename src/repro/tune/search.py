@@ -12,8 +12,8 @@ that space in four stages:
    streamed lazily, never materialized;
 2. **ranking** (:mod:`~repro.tune.prefilter`) — every space point gets a
    static score from the analytic cost model; the top of the ranking is
-   realized as program text, deduplicated, vetted by the communication
-   verifier, and becomes the shortlist;
+   realized as programs, deduplicated structurally, vetted by the
+   communication verifier, and becomes the shortlist;
 3. **evaluation** (:mod:`~repro.tune.evaluate`) — shortlisted candidates
    run on the real engine, in-process or sharded across supervised
    worker processes over the content-addressed artifact store;
@@ -40,7 +40,6 @@ from typing import Sequence
 
 from ..core.ir.nodes import Program
 from ..core.ir.parser import parse_program
-from ..core.ir.printer import print_program
 from ..distributions import ProcessorGrid
 from ..core.analysis.layouts import build_segmentation
 from ..machine.model import MachineModel
@@ -48,7 +47,7 @@ from ..machine.transport import default_backend
 from .evaluate import (
     EvalCache, EvalResult, EvalTask, evaluate_candidates, evaluate_sharded,
 )
-from .prefilter import PrefilterResult, RankedCandidate, prefilter
+from .prefilter import PrefilterResult, prefilter
 from .rewrite import PhaseSpec, TuneError, detect_phases
 from .space import (
     KnobSpec, LayoutCandidate, PHASE_SEGS, PHASE_SPECS, SpaceSpec,
@@ -199,7 +198,6 @@ def tune(
     *,
     model: MachineModel | None = None,
     top_k: int = 4,
-    realizations: Sequence[str] | None = None,
     knobs: KnobSpec | None = None,
     specs: Sequence[str] | None = None,
     seg_choices: Sequence[str] | None = None,
@@ -228,8 +226,8 @@ def tune(
     supervised worker processes — it requires ``store``, which also
     memoizes evaluations across processes and runs.
 
-    ``realizations`` is the legacy knob form (a tuple of realization
-    names); ``knobs`` a full :class:`~repro.tune.space.KnobSpec`.  If no
+    ``knobs`` is the pass-level :class:`~repro.tune.space.KnobSpec`
+    (default: every realization and planner budget).  If no
     generated candidate beats the input program on the engine, the result
     keeps the original placement (``realization == "baseline"``, speedup
     1.0) — tuning never returns something worse than its input.
@@ -242,11 +240,7 @@ def tune(
     backend = backend if backend is not None else default_backend()
     if shards is not None and store is None:
         raise TuneError("sharded evaluation (shards=...) needs a store")
-    if knobs is None:
-        knobs = (KnobSpec(realizations=tuple(realizations))
-                 if realizations is not None else KnobSpec())
-    elif realizations is not None:
-        raise TuneError("pass either realizations or knobs, not both")
+    knobs = knobs if knobs is not None else KnobSpec()
 
     phases = detect_phases(program)
     names = {p.var for p in phases}
@@ -286,9 +280,12 @@ def tune(
         return evaluate_candidates(tasks, cache=cache, store=store,
                                    parallel=parallel)
 
-    def _task(rc: RankedCandidate) -> EvalTask:
-        return EvalTask(rc.source, nprocs, model, seed=seed, backend=backend,
-                        label=rc.label)
+    # Tasks print their program lazily, once, on first digest access.
+    tasks = [
+        EvalTask(rc.program, nprocs, model, seed=seed, backend=backend,
+                 label=rc.label)
+        for rc in pf.shortlist
+    ]
 
     baseline_task = EvalTask(program, nprocs, model, seed=seed,
                              label="baseline", backend=backend)
@@ -305,7 +302,7 @@ def tune(
             if time.perf_counter() - t_start > budget_s:
                 break  # budget gates between waves, never inside one
         batch, remaining = remaining[:size], remaining[size:]
-        wave_results = _evaluate([_task(pf.shortlist[i]) for i in batch])
+        wave_results = _evaluate([tasks[i] for i in batch])
         for i, r in zip(batch, wave_results):
             measured[i] = r
         waves += 1
@@ -386,7 +383,7 @@ def tune(
         return TuneResult(
             phase_layouts=tuple(initial_cand for _ in phases),
             realization="baseline",
-            source=print_program(program),
+            source=baseline_task.source_text,
             makespan=confirmed.makespan,
             semantics_preserved=True,
             wall_s=time.perf_counter() - t_start,
@@ -395,12 +392,12 @@ def tune(
 
     # Winner confirmation goes through the cache — by construction a hit,
     # which is also what keeps repeated tuning calls cheap.
-    confirmed = evaluate_candidates([_task(best_rc)], cache=cache,
+    confirmed = evaluate_candidates([tasks[best_i]], cache=cache,
                                     store=store, parallel=False)[0]
     return TuneResult(
         phase_layouts=best_rc.layouts,
         realization=best_rc.knob.realization,
-        source=best_rc.source,
+        source=tasks[best_i].source_text,
         makespan=confirmed.makespan,
         semantics_preserved=best.matches(baseline.arrays),
         wall_s=time.perf_counter() - t_start,

@@ -224,10 +224,38 @@ class TestRedist:
         assert data["peak_temp_bytes"] / data["naive_peak_bytes"] <= 0.5
 
     def test_redist_rejects_bad_frac(self, capsys):
-        from repro.core.errors import DistributionError
+        assert main(["redist", "--max-temp-frac", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "repro: error: max_temp_frac must be in (0, 1], got 0.0\n"
+        )
 
-        with pytest.raises(DistributionError):
-            main(["redist", "--max-temp-frac", "0"])
+
+class TestErrorBoundary:
+    """Library errors (:class:`~repro.core.errors.XDPError`) end a command
+    with one ``repro: error: <message>`` line on stderr and exit code 2,
+    not a traceback."""
+
+    def test_parse_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.xdp"
+        bad.write_text("array A[1:4] dist (BLOCK) seg (1)\n"
+                       "do i = 1, 4\n  A[i] = = 1\nenddo\n")
+        assert main(["run", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "repro: error: unexpected token '=' at line 3, col 10\n"
+        )
+        assert captured.out == ""
+
+    def test_tune_error(self, tmp_path, capsys):
+        plane = tmp_path / "plane.xdp"
+        plane.write_text("array A[1:4,1:4] dist (BLOCK, *) seg (1,4)\n"
+                         "call smooth(A[*,*])\n")
+        assert main(["tune", "--file", str(plane), "--nprocs", "2"]) == 2
+        assert capsys.readouterr().err == (
+            "repro: error: call smooth(A[...]): pencil phases need exactly "
+            "one '*' subscript (got 2)\n"
+        )
 
 
 class TestServe:

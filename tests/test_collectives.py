@@ -355,10 +355,12 @@ class TestPlanner:
         dst = dist_from_spec("(*, BLOCK)", bounds, grid)
         sched = plan_bounded_redistribution(src, dst, max_temp_frac=0.25)
         from repro.core.ir.nodes import ArrayDecl, Block as IRBlock, Program
+        from repro.core.redistgen import redistribution_code
 
         decl = ArrayDecl("A", ((1, n), (1, n)), dist="(BLOCK, *)",
                          segment_shape=(n // nprocs, n))
-        prog = Program((decl,), IRBlock(tuple(sched.statements("A"))))
+        code = redistribution_code("A", sched, "planner")
+        prog = Program((decl,), IRBlock(tuple(code)))
         it = Interpreter(prog, nprocs, model=MachineModel())
         a0 = np.arange(64.0).reshape(n, n)
         it.write_global("A", a0)

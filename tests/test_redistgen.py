@@ -1,15 +1,18 @@
 """Tests for compiler-generated redistribution code (paper section 4's
-linked -=>/<=- structure)."""
+linked -=>/<=- structure), lowered by the one emitter
+:func:`repro.core.redistgen.redistribution_code`."""
 
 import numpy as np
 import pytest
 
+from repro.core.collectives.planner import plan_bounded_redistribution
 from repro.core.ir.nodes import (
-    ArrayDecl, Block, Guarded, Program, RecvStmt, SendStmt, XferOp,
+    ArrayDecl, Await, Block, ExprStmt, Guarded, Program, RecvStmt, SendStmt,
+    XferOp,
 )
 from repro.core.ir.verify import verify_program
 from repro.core.interp import Interpreter
-from repro.core.redistgen import redistribution_statements, section_to_subscripts
+from repro.core.redistgen import redistribution_code, section_to_subscripts
 from repro.core.sections import section
 from repro.distributions import (
     Block as BlockSpec,
@@ -37,31 +40,65 @@ def build_program(n, nprocs, stmts, seg_shape):
     return Program((decl,), Block(tuple(stmts)))
 
 
+def transfers(stmts, kind):
+    """The ``kind`` statements inside the emitted guarded groups."""
+    return [t for g in stmts for t in g.body if isinstance(t, kind)]
+
+
 class TestGeneration:
     def test_statement_structure(self):
         _, _, plan = make_plan()
-        stmts = redistribution_statements("A", plan)
-        assert len(stmts) == 2 * plan.message_count
-        sends = stmts[: plan.message_count]
-        recvs = stmts[plan.message_count:]
+        stmts = redistribution_code("A", plan)
+        assert all(isinstance(g, Guarded) for g in stmts)
+        sends = transfers(stmts, SendStmt)
+        recvs = transfers(stmts, RecvStmt)
+        assert len(sends) == len(recvs) == plan.message_count
         for s in sends:
-            assert isinstance(s, Guarded)
-            inner = s.body.stmts[0]
-            assert isinstance(inner, SendStmt)
-            assert inner.op is XferOp.SEND_OWNER_VALUE
-            assert inner.dests is not None
-        for r in recvs:
-            assert isinstance(r.body.stmts[0], RecvStmt)
-
-    def test_ownership_only_mode(self):
-        _, _, plan = make_plan()
-        stmts = redistribution_statements("A", plan, with_value=False)
-        assert stmts[0].body.stmts[0].op is XferOp.SEND_OWNER
+            assert s.op is XferOp.SEND_OWNER_VALUE
+            assert s.dests is not None
+        # grouped: one guard per sender, then one per receiver, all sends
+        # before any receive
+        assert len(stmts) == 2 * 4
+        first_recv = next(
+            i for i, g in enumerate(stmts)
+            if isinstance(g.body.stmts[0], RecvStmt)
+        )
+        assert all(
+            isinstance(t, SendStmt) for g in stmts[:first_recv] for t in g.body
+        )
+        assert len({g.rule for g in stmts[:first_recv]}) == first_recv
 
     def test_awaits_appended(self):
+        src, dst, plan = make_plan()
+        sched = plan_bounded_redistribution(src, dst, max_temp_frac=0.5,
+                                            plan=plan)
+        stmts = redistribution_code("A", sched, "planner")
+        waits = [t for t in transfers(stmts, ExprStmt)
+                 if isinstance(t.expr, Await)]
+        assert len(waits) == plan.message_count
+        # every round closes with its fences: the last group is an await
+        assert isinstance(stmts[-1].body.stmts[-1].expr, Await)
+
+    def test_pipelined_sends_fuse_into_producer(self):
+        from repro.core.ir.nodes import DoLoop, IntConst, VarRef
+
         _, _, plan = make_plan()
-        stmts = redistribution_statements("A", plan, awaits=True)
-        assert len(stmts) == 3 * plan.message_count
+        producer = DoLoop("i", IntConst(1), IntConst(16))
+        loop, *recvs = redistribution_code(
+            "A", plan, "pipelined", producer=producer, axis=0
+        )
+        assert isinstance(loop, DoLoop) and loop.var == "i"
+        # one fragment per moved element, each sent under its coordinate
+        sends = transfers(loop.body, SendStmt)
+        assert len(sends) == plan.total_elements_moved
+        for g in loop.body:
+            assert g.rule.op == "and"
+            assert g.rule.rhs.lhs == VarRef("i")
+        assert len(transfers(recvs, RecvStmt)) == len(sends)
+        assert redistribution_code(
+            "A", plan_redistribution(plan.source, plan.source), "pipelined",
+            producer=producer, axis=0,
+        ) == [producer]
 
     def test_section_to_subscripts_roundtrip(self):
         from repro.core.ir.printer import print_ref
@@ -73,12 +110,14 @@ class TestGeneration:
 
 
 class TestExecution:
-    @pytest.mark.parametrize("with_value", [True, False])
-    def test_redistribution_runs(self, with_value):
+    @pytest.mark.parametrize("realization", ["bulk", "planner"])
+    def test_redistribution_runs(self, realization):
         n, nprocs = 16, 4
         src, dst, plan = make_plan(n, nprocs)
-        stmts = redistribution_statements("A", plan, with_value=with_value,
-                                          awaits=True)
+        if realization == "planner":
+            plan = plan_bounded_redistribution(src, dst, max_temp_frac=0.25,
+                                               plan=plan)
+        stmts = redistribution_code("A", plan, realization)
         prog = build_program(n, nprocs, stmts, (1,))
         verify_program(prog)
         it = Interpreter(prog, nprocs, model=FAST)
@@ -90,13 +129,12 @@ class TestExecution:
         for pid in range(nprocs):
             for sec in dst.owned_sections(pid):
                 assert it.engine.symtabs[pid].iown("A", sec)
-        if with_value:
-            assert np.array_equal(it.read_global("A"), a0)
+        assert np.array_equal(it.read_global("A"), a0)
 
     def test_segment_granularity_execution(self):
         n, nprocs = 16, 4
         src, dst, plan = make_plan(n, nprocs, seg=2)
-        stmts = redistribution_statements("A", plan, awaits=True)
+        stmts = redistribution_code("A", plan)
         prog = build_program(n, nprocs, stmts, (2,))
         it = Interpreter(prog, nprocs, model=FAST)
         a0 = np.arange(1.0, n + 1)
@@ -108,7 +146,7 @@ class TestExecution:
         grid = ProcessorGrid((2,))
         d = Distribution(section((1, 8)), (BlockSpec(),), grid)
         plan = plan_redistribution(d, d)
-        assert redistribution_statements("A", plan) == []
+        assert redistribution_code("A", plan) == []
 
 
 class TestSelfAndDuplicateMoves:
@@ -127,8 +165,10 @@ class TestSelfAndDuplicateMoves:
             Move(1, 1, section((5, 8))),    # and P2 keeps part of its own
         )
         plan = RedistributionPlan(src, dst, moves)
-        stmts = redistribution_statements("A", plan)
-        assert len(stmts) == 2  # one send + one recv for the single cross move
+        stmts = redistribution_code("A", plan)
+        # one send + one recv for the single cross move
+        assert len(transfers(stmts, SendStmt)) == 1
+        assert len(transfers(stmts, RecvStmt)) == 1
 
     def test_duplicate_moves_deduplicated(self):
         from repro.distributions.redistribute import Move, RedistributionPlan
@@ -136,8 +176,10 @@ class TestSelfAndDuplicateMoves:
         src, dst, _ = make_plan()
         m = Move(0, 1, section((1, 4)))
         plan = RedistributionPlan(src, dst, (m, m, Move(2, 3, section((9, 12)))))
-        stmts = redistribution_statements("A", plan)
-        assert len(stmts) == 4  # two distinct transfers, not three
+        stmts = redistribution_code("A", plan)
+        # two distinct transfers, not three
+        assert len(transfers(stmts, SendStmt)) == 2
+        assert len(transfers(stmts, RecvStmt)) == 2
 
     def test_block_to_cyclic_message_count(self):
         """BLOCK→CYCLIC at n=16, P=4: each processor keeps one element of
@@ -146,9 +188,8 @@ class TestSelfAndDuplicateMoves:
         n, nprocs = 16, 4
         src, dst, plan = make_plan(n, nprocs)
         assert plan.message_count == 12
-        stmts = redistribution_statements("A", plan, awaits=True)
-        sends = [s for s in stmts if isinstance(s.body.stmts[0], SendStmt)]
-        assert len(sends) == 12
+        stmts = redistribution_code("A", plan)
+        assert len(transfers(stmts, SendStmt)) == 12
         prog = build_program(n, nprocs, stmts, (1,))
         it = Interpreter(prog, nprocs, model=FAST)
         a0 = np.arange(1.0, n + 1)

@@ -15,6 +15,7 @@ import pytest
 from repro.apps.fft3d import fft3d_source, run_fft3d
 from repro.apps.jacobi import jacobi_source, run_jacobi
 from repro.apps.workqueue import make_job_costs, run_workqueue
+from repro.core.analysis.verify_comm import verify_communication
 from repro.core.codegen import lower
 from repro.core.ir.parser import parse_program
 from repro.machine.model import MachineModel
@@ -195,14 +196,17 @@ class TestRewrite:
         assert [p.axis for p in phases] == [1, 0, 2]
         assert all(p.kernel == "fft1D" and p.var == "A" for p in phases)
 
-    @pytest.mark.parametrize("realization", ["bulk", "pipelined"])
+    @pytest.mark.parametrize(
+        "realization", ["bulk", "pipelined", "planner"]
+    )
     def test_generated_programs_compute_the_fft(self, naive_src, realization):
         program = parse_program(naive_src)
-        src = generate_phased_program(
+        generated = generate_phased_program(
             program, detect_phases(program), PAPER_LAYOUTS, P,
             realization=realization,
         )
-        runner = lower(parse_program(src), P)
+        assert verify_communication(generated, P).ok
+        runner = lower(generated, P)
         rng = np.random.default_rng(3)
         a0 = rng.standard_normal((N, N, N)) + 1j * rng.standard_normal((N, N, N))
         runner.write_global("A", a0)

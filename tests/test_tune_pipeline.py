@@ -117,3 +117,40 @@ class TestShardDeterminism:
         res = tune(fft3d_source(N, P, 0), P)
         assert json.dumps(res.canonical_doc(), sort_keys=True) == \
             json.dumps(docs[1], sort_keys=True)
+
+
+class TestPrefilterDedup:
+    """At n=8/P=4, ``(*, BLOCK, *)`` and ``(*, CYCLIC(2), *)`` own the same
+    rows, so every realization of the paper path emits the same program
+    under both: the prefilter must shortlist only one of the pair (the
+    phase comments of the old text emission defeated that)."""
+
+    def test_structurally_equal_programs_shortlisted_once(self):
+        from repro.distributions import ProcessorGrid
+        from repro.core.analysis.layouts import build_segmentation
+        from repro.machine.model import MachineModel
+        from repro.tune import prefilter
+
+        program = parse_program(fft3d_source(N, P, 0))
+        phases = detect_phases(program)
+        decl = program.array_decls()[0]
+        space = SpaceSpec(
+            decl, P, tuple(p.axis for p in phases),
+            specs=("BLOCK", "CYCLIC(2)"), seg_choices=("pencil",),
+        )
+        pf = prefilter(
+            program, phases, space,
+            initial=build_segmentation(decl, ProcessorGrid((P,))).distribution,
+            model=MachineModel(), backend="msg", budget=space.size(),
+        )
+        programs = [rc.program for rc in pf.shortlist]
+        assert len(set(programs)) == len(programs)
+        for knob in space.knob_points():
+            pair = [
+                rc for rc in pf.shortlist
+                if rc.knob == knob
+                and rc.layouts[:2] == pf.shortlist[0].layouts[:2]
+                and rc.layouts[2].dist in ("(*, BLOCK, *)",
+                                           "(*, CYCLIC(2), *)")
+            ]
+            assert len(pair) == 1, [rc.label for rc in pair]
