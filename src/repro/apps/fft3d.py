@@ -39,6 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.codegen import lower
+from ..core.errors import DistributionError
 from ..core.interp import Interpreter
 from ..core.ir.parser import parse_program
 from ..machine.model import MachineModel
@@ -364,12 +365,12 @@ def fft3d_source(n: int, nprocs: int, stage: int) -> str:
         raise ValueError(f"stage must be one of {STAGES}")
     if stage == 3:
         if n % nprocs != 0:
-            raise ValueError(f"n ({n}) must be a multiple of nprocs ({nprocs})")
+            raise DistributionError(f"n ({n}) must be a multiple of nprocs ({nprocs})")
         return _general_stage3(n, nprocs)
     if n == nprocs:
         return (_paper_stage0, _paper_stage1, _paper_stage2)[stage](n)
     if n % nprocs != 0:
-        raise ValueError(f"n ({n}) must be a multiple of nprocs ({nprocs})")
+        raise DistributionError(f"n ({n}) must be a multiple of nprocs ({nprocs})")
     return (
         _general_stage0, _general_stage1, _general_stage2
     )[stage](n, nprocs)

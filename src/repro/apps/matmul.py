@@ -37,6 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.codegen import lower
+from ..core.errors import DistributionError
 from ..core.interp import Interpreter
 from ..machine.model import MachineModel
 from ..machine.stats import RunStats
@@ -124,7 +125,7 @@ def matmul_source(n: int, nprocs: int, variant: str) -> str:
     if variant not in _SOURCES:
         raise ValueError(f"variant must be one of {VARIANTS}")
     if n % nprocs != 0:
-        raise ValueError(f"n ({n}) must be a multiple of nprocs ({nprocs})")
+        raise DistributionError(f"n ({n}) must be a multiple of nprocs ({nprocs})")
     return _SOURCES[variant](n, nprocs, n // nprocs)
 
 

@@ -1283,7 +1283,10 @@ class _Machine:
                 if isinstance(l, int) and isinstance(r, int):
                     return l // r if r != 0 else 0
                 return l / r if r != 0 else _UNKNOWN
-            case "%": return l % r if r != 0 else _UNKNOWN
+            case "%":
+                if isinstance(l, int) and isinstance(r, int):
+                    return l % r if r != 0 else 0
+                return l % r if r != 0 else _UNKNOWN
             case "==": return l == r
             case "!=": return l != r
             case "<": return l < r

@@ -503,7 +503,7 @@ def _compile_binop(op: str, lhs: Expr, rhs: Expr) -> Callable[[_VMEnv], Any]:
     import operator as _op
 
     table = {
-        "+": _op.add, "-": _op.sub, "*": _op.mul, "%": _op.mod,
+        "+": _op.add, "-": _op.sub, "*": _op.mul,
         "==": _op.eq, "!=": _op.ne, "<": _op.lt, "<=": _op.le,
         ">": _op.gt, ">=": _op.ge,
     }
@@ -515,6 +515,14 @@ def _compile_binop(op: str, lhs: Expr, rhs: Expr) -> Callable[[_VMEnv], Any]:
                 return int(l) // int(r) if r != 0 else 0
             return l / r
         return div
+    if op == "%":
+        def mod(env):
+            l, r = l_fn(env), r_fn(env)
+            env.flops += _pair_size(l, r)
+            if isinstance(l, (int, np.integer)) and isinstance(r, (int, np.integer)):
+                return l % r if r != 0 else 0
+            return l % r
+        return mod
     if op in ("min", "max"):
         py = min if op == "min" else max
         npf = np.minimum if op == "min" else np.maximum

@@ -15,46 +15,27 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from ..analysis.consteval import ConstEnv, const_eval
 from ..errors import CompilationError
 from ..ir.nodes import (
-    ArrayRef, Assign, Await, BinOp, Block, BoolConst, CollOp, CollectiveStmt,
-    Expr, ExprStmt, Guarded, IntConst, Mypid, NumProcs, RecvStmt, SendStmt,
-    Stmt, UnaryOp, XferOp,
+    ArrayRef, Assign, Await, BinOp, Block, CollOp, CollectiveStmt, Expr,
+    ExprStmt, Guarded, IntConst, Mypid, RecvStmt, SendStmt, Stmt, XferOp,
 )
 from ..ir.nodes import Program
 from ..ir.visitor import map_block, substitute
 from .schedule import group_members, reduce_order
 
-__all__ = ["desugar_collective", "desugar_program", "static_eval"]
+__all__ = ["desugar_collective", "desugar_program"]
 
 
-def static_eval(e: Expr, nprocs: int, scalars: dict[str, int] | None = None):
-    """Evaluate a compile-time-constant expression or raise."""
-    match e:
-        case IntConst(v) | BoolConst(v):
-            return v
-        case NumProcs():
-            return nprocs
-        case UnaryOp("-", operand):
-            return -static_eval(operand, nprocs, scalars)
-        case BinOp(op, lhs, rhs):
-            l = static_eval(lhs, nprocs, scalars)
-            r = static_eval(rhs, nprocs, scalars)
-            match op:
-                case "+": return l + r
-                case "-": return l - r
-                case "*": return l * r
-                case "/": return l // r if r != 0 else 0
-                case "%": return l % r
-                case "min": return min(l, r)
-                case "max": return max(l, r)
-        case _ if scalars is not None and hasattr(e, "name"):
-            if e.name in scalars:  # type: ignore[union-attr]
-                return scalars[e.name]  # type: ignore[union-attr]
-    raise CompilationError(
-        f"collective group/root must be compile-time constant for the "
-        f"point-to-point lowering; cannot evaluate {e!r}"
-    )
+def _static(e: Expr, env: ConstEnv) -> int:
+    v = const_eval(e, env)
+    if v is None:
+        raise CompilationError(
+            f"collective group/root must be compile-time constant for the "
+            f"point-to-point lowering; cannot evaluate {e!r}"
+        )
+    return int(v)
 
 
 def _on(m: int, stmts: Sequence[Stmt]) -> Guarded:
@@ -109,18 +90,19 @@ def desugar_collective(
     scalars: dict[str, int] | None = None,
 ) -> list[Stmt]:
     """Expand one collective into guarded point-to-point statements."""
+    env = ConstEnv(nprocs, scalars or {})
     lo, hi, step = stmt.group
     members = group_members(
-        int(static_eval(lo, nprocs, scalars)),
-        int(static_eval(hi, nprocs, scalars)),
-        1 if step is None else int(static_eval(step, nprocs, scalars)),
+        _static(lo, env),
+        _static(hi, env),
+        1 if step is None else _static(step, env),
         nprocs,
     )
     b = _Binder(stmt)
     out: list[Stmt] = []
 
     if stmt.op is CollOp.BROADCAST:
-        root = int(static_eval(stmt.root, nprocs, scalars))
+        root = _static(stmt.root, env)
         if root not in members:
             raise CompilationError(
                 f"broadcast root P{root} is not a group member {members}"

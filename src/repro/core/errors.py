@@ -195,8 +195,9 @@ class ArtifactIntegrityError(ServeError):
     """
 
 
-class DistributionError(XDPError):
-    """Raised for invalid HPF-style distribution or segmentation requests."""
+class DistributionError(XDPError, ValueError):
+    """Raised for invalid HPF-style distribution or segmentation requests,
+    including problem sizes a distribution cannot divide evenly."""
 
 
 class CompilationError(XDPError):

@@ -541,6 +541,8 @@ class Interpreter:
                     return int(l) // int(r) if r != 0 else 0
                 return l / r
             case "%":
+                if isinstance(l, (int, np.integer)) and isinstance(r, (int, np.integer)):
+                    return l % r if r != 0 else 0
                 return l % r
             case "==":
                 return l == r

@@ -10,10 +10,10 @@ four-stage pipeline:
   crossed with pass-level knobs, described by :class:`SpaceSpec` without
   materializing;
 * :mod:`~repro.tune.prefilter` — **ranking**: every space point scored by
-  the analytic cost model (:mod:`~repro.tune.cost`), realized as
-  programs, deduplicated by structural equality, vetted by the
-  communication verifier, cut to a shortlist under an explicit candidate
-  budget;
+  the closed-form cost model (:mod:`~repro.tune.cost`, uncalibrated: it
+  only orders the space), realized as programs, deduplicated by
+  structural equality, vetted by the communication verifier, cut to a
+  shortlist under an explicit candidate budget;
 * :mod:`~repro.tune.evaluate` — **evaluation**: shortlisted candidates run
   on the real :class:`~repro.machine.engine.Engine`, in-process or sharded
   across supervised workers, memoized through the content-addressed
@@ -28,12 +28,8 @@ See docs/TUNING.md for the full design.
 """
 
 from .cost import (
-    CALIBRATION_RTOL,
-    ProgramCostEstimate,
     SharedAddressCosts,
     TransportCosts,
-    estimate_program,
-    estimate_workqueue,
     phase_compute_cost,
     redistribution_cost,
     transport_costs,
@@ -61,7 +57,6 @@ from .space import (
 )
 
 __all__ = [
-    "CALIBRATION_RTOL",
     "EvalCache",
     "EvalResult",
     "EvalTask",
@@ -70,7 +65,6 @@ __all__ = [
     "LayoutCandidate",
     "PhaseSpec",
     "PrefilterResult",
-    "ProgramCostEstimate",
     "RankedCandidate",
     "SharedAddressCosts",
     "SpaceSpec",
@@ -81,8 +75,6 @@ __all__ = [
     "candidate_segmentation",
     "detect_phases",
     "enumerate_layouts",
-    "estimate_program",
-    "estimate_workqueue",
     "evaluate_candidates",
     "evaluate_sharded",
     "generate_phased_program",

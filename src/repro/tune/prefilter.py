@@ -37,7 +37,9 @@ from ..core.collectives.planner import plan_bounded_redistribution
 from ..distributions import Distribution, plan_redistribution
 from ..machine.model import MachineModel
 from .cost import phase_compute_cost, redistribution_cost
-from .rewrite import PhaseSpec, TuneError, generate_phased_program
+from .rewrite import (
+    PhaseSpec, TuneError, edge_realization, generate_phased_program,
+)
 from .space import KnobPoint, LayoutCandidate, SpaceSpec, candidate_segmentation
 
 __all__ = ["PrefilterResult", "RankedCandidate", "prefilter"]
@@ -137,21 +139,15 @@ class _EdgeCosts:
         knob: KnobPoint,
         *,
         first_edge: bool,
-    ) -> str:
-        """The realization the generator will actually build on this edge:
-        it cannot pipeline into a non-existent producing loop, needs a
-        single source loop axis to fuse on, and an edge with no moves
-        emits nothing at all."""
+    ) -> tuple[str, int | None]:
+        """The realization (and pipelined fuse axis) the generator will
+        actually build on this edge; an edge with no moves emits nothing
+        at all."""
         if not self.plan(source, cand).moves:
-            return "none"
-        real = knob.realization
-        if real == "pipelined":
-            src_axes = [
-                a for a, s in enumerate(source.specs) if not s.collapsed
-            ]
-            if first_edge or len(src_axes) != 1:
-                real = "bulk"
-        return real
+            return "none", None
+        return edge_realization(
+            knob.realization, source, first_edge=first_edge
+        )
 
     def cost(
         self,
@@ -161,8 +157,7 @@ class _EdgeCosts:
         *,
         first_edge: bool,
     ) -> float:
-        src_axes = [a for a, s in enumerate(source.specs) if not s.collapsed]
-        real = self.effective(source, cand, knob, first_edge=first_edge)
+        real, axis = self.effective(source, cand, knob, first_edge=first_edge)
         if real == "none":
             return 0.0
         frac = knob.max_temp_frac
@@ -184,7 +179,7 @@ class _EdgeCosts:
                 self.schedules[skey] = schedule
         out = redistribution_cost(
             plan, self.model, itemsize=self.itemsize, realization=real,
-            outer_axis=src_axes[0] if len(src_axes) == 1 else None,
+            outer_axis=axis,
             backend=self.backend, schedule=schedule,
         )
         self.costs[key] = out
@@ -247,7 +242,7 @@ def prefilter(
             for li, cand in enumerate(path):
                 score += edges.cost(prev, cand, knob, first_edge=(li == 0))
                 reals.append(
-                    edges.effective(prev, cand, knob, first_edge=(li == 0))
+                    edges.effective(prev, cand, knob, first_edge=(li == 0))[0]
                 )
                 prev = edges.dist(cand)
             scored += 1

@@ -50,7 +50,7 @@ from ..core.ir.nodes import (
     Guarded, IfStmt, Index, IntConst, Iown, Mylb, Myub, Program, Stmt, VarRef,
 )
 from ..core.redistgen import REALIZATIONS, redistribution_code
-from ..distributions import ProcessorGrid, plan_redistribution
+from ..distributions import Distribution, ProcessorGrid, plan_redistribution
 from .space import LayoutCandidate, candidate_segmentation
 
 __all__ = [
@@ -58,6 +58,7 @@ __all__ = [
     "REALIZATIONS",
     "TuneError",
     "detect_phases",
+    "edge_realization",
     "generate_phased_program",
 ]
 
@@ -184,6 +185,24 @@ def _phase_loop(
     )
 
 
+def edge_realization(
+    realization: str, source: Distribution, *, first_edge: bool
+) -> tuple[str, int | None]:
+    """The realization a redistribution out of ``source`` is emitted with,
+    and for ``pipelined`` the source loop axis its fragments fuse on.
+
+    ``pipelined`` needs a producing loop (none precedes the first edge)
+    and a single distributed source axis to fuse on; otherwise the edge
+    falls back to ``bulk``.
+    """
+    if realization != "pipelined":
+        return realization, None
+    axes = [a for a, s in enumerate(source.specs) if not s.collapsed]
+    if first_edge or len(axes) != 1:
+        return "bulk", None
+    return "pipelined", axes[0]
+
+
 def generate_phased_program(
     program: Program,
     phases: Sequence[PhaseSpec],
@@ -225,10 +244,10 @@ def generate_phased_program(
         plan = plan_redistribution(current, target)
         guard = "iown"
         if plan.moves:
-            src_axes = [
-                a for a, s in enumerate(current.specs) if not s.collapsed
-            ]
-            if realization == "planner":
+            real, axis = edge_realization(
+                realization, current, first_edge=(idx == 0)
+            )
+            if real == "planner":
                 body += redistribution_code(
                     decl.name,
                     plan_bounded_redistribution(
@@ -238,11 +257,10 @@ def generate_phased_program(
                     "planner",
                 )
                 guard = "await"
-            elif (realization == "pipelined" and idx > 0
-                  and len(src_axes) == 1):
+            elif real == "pipelined":
                 body += redistribution_code(
                     decl.name, plan, "pipelined",
-                    producer=body.pop(), axis=src_axes[0],
+                    producer=body.pop(), axis=axis,
                 )
                 guard = "await-sunk"
             else:

@@ -80,6 +80,22 @@ class TestRun:
         out = capsys.readouterr().out
         assert "send" in out
 
+    def test_integer_modulo_by_zero(self, tmp_path, capsys):
+        # Like integer `/`, `%` by zero yields 0 on both run paths.
+        p = tmp_path / "mod.xdp"
+        p.write_text(
+            "array A[1:4] dist (BLOCK) seg (1)\n"
+            "scalar a\nscalar b\nb = 0\na = 5 % b\n"
+            "do i = 1, 4\n  iown(A[i]) : { A[i] = a + i }\nenddo\n"
+        )
+        shown = {}
+        for path in ("vm", "interp"):
+            assert main(["run", str(p), "--nprocs", "2", "--path", path,
+                         "--show", "A"]) == 0
+            shown[path] = capsys.readouterr().out.split("A =")[1]
+        assert shown["vm"] == shown["interp"]
+        assert "[1. 2. 3. 4.]" in shown["vm"]
+
     def test_bad_init_kind(self, program_file):
         with pytest.raises(SystemExit):
             main(["run", program_file, "--init", "A=bogus"])
@@ -256,6 +272,26 @@ class TestErrorBoundary:
             "repro: error: call smooth(A[...]): pencil phases need exactly "
             "one '*' subscript (got 2)\n"
         )
+
+    def test_tune_unpriced_kernel(self, tmp_path, capsys):
+        from repro.apps.fft3d import fft3d_source
+
+        src = tmp_path / "foo.xdp"
+        src.write_text(fft3d_source(8, 4, 0).replace("fft1D", "foo"))
+        assert main(["tune", "--file", str(src), "--nprocs", "4",
+                     "--serial"]) == 2
+        assert capsys.readouterr().err == (
+            "repro: error: no analytic flop formula for kernel 'foo'\n"
+        )
+
+    @pytest.mark.parametrize("command", ["fft", "tune"])
+    def test_indivisible_fft_size(self, command, capsys):
+        assert main([command, "--n", "10", "--nprocs", "4"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "repro: error: n (10) must be a multiple of nprocs (4)\n"
+        )
+        assert captured.out == ""
 
 
 class TestServe:

@@ -10,6 +10,7 @@ from repro.core.ir.parser import parse_program
 from repro.core.opt import optimize
 from repro.core.translate import translate
 from repro.machine import MachineModel
+from repro.machine.procrt import digest_symtabs
 
 FAST = MachineModel(o_send=1, o_recv=1, alpha=10, per_byte=0.0)
 
@@ -68,6 +69,22 @@ enddo
         prog = parse_program(src)
         (it, _), (cp, _) = both_paths(prog, init={"A": np.zeros(8)})
         assert np.array_equal(it.read_global("A"), cp.read_global("A"))
+
+    def test_integer_modulo_by_zero(self):
+        # Integer `%` by zero yields 0, as integer `/` does.
+        src = """
+array A[1:4] dist (BLOCK) seg (1)
+scalar b = 0
+
+do i = 1, 4
+  iown(A[i]) : { A[i] = i % b + (i + 1) % 2 }
+enddo
+"""
+        prog = parse_program(src)
+        (it, _), (cp, _) = both_paths(prog, nprocs=2, init={"A": np.ones(4)})
+        assert digest_symtabs(it.engine.symtabs) == \
+            digest_symtabs(cp.engine.symtabs)
+        assert np.array_equal(cp.read_global("A"), [0.0, 1.0, 0.0, 1.0])
 
     def test_negative_step_loop(self):
         src = """

@@ -4,36 +4,29 @@ Headline (the ISSUE's acceptance bar): the tuner, given the *naive*
 section-4 FFT program, rediscovers the paper's ``(*,*,BLOCK)`` →
 ``(*,BLOCK,*)`` repartitioning and its simulated makespan is no worse
 than the hand-optimized final stage.  Plus: determinism, the memoized
-oracle, parallel-vs-serial bit-identity, and the calibration guard
-pinning the analytic cost model to the real engine on the Jacobi and
-workqueue apps at P in {4, 16}.
+oracle, parallel-vs-serial bit-identity, the layout space and the
+phased rewriter.
 """
 
 import numpy as np
 import pytest
 
 from repro.apps.fft3d import fft3d_source, run_fft3d
-from repro.apps.jacobi import jacobi_source, run_jacobi
-from repro.apps.workqueue import make_job_costs, run_workqueue
 from repro.core.analysis.verify_comm import verify_communication
 from repro.core.codegen import lower
 from repro.core.ir.parser import parse_program
 from repro.machine.model import MachineModel
 from repro.tune import (
-    CALIBRATION_RTOL,
     EvalCache,
     EvalTask,
     LayoutCandidate,
     detect_phases,
     enumerate_layouts,
-    estimate_program,
-    estimate_workqueue,
     evaluate_candidates,
     generate_phased_program,
     phase_layouts,
     tune,
 )
-from repro.tune.cost import EstimateError
 from repro.tune.rewrite import TuneError
 
 N, P = 8, 4
@@ -125,52 +118,6 @@ class TestOracle:
         assert t.digest != EvalTask(
             t.program, 4, MachineModel.high_latency()
         ).digest
-
-
-class TestCalibration:
-    """The analytic model must track the real engine (drift guard)."""
-
-    @pytest.mark.parametrize("nprocs", [4, 16])
-    @pytest.mark.parametrize("variant", ["halo", "halo-overlap"])
-    def test_jacobi(self, variant, nprocs):
-        real = run_jacobi(64, nprocs, 3, variant).stats.makespan
-        est = estimate_program(jacobi_source(64, nprocs, 3, variant), nprocs)
-        assert est.makespan == pytest.approx(real, rel=CALIBRATION_RTOL)
-
-    @pytest.mark.parametrize("nprocs", [4, 16])
-    @pytest.mark.parametrize("scheme", ["dynamic", "static"])
-    def test_workqueue(self, scheme, nprocs):
-        njobs = 32
-        costs = make_job_costs(njobs)
-        real = run_workqueue(njobs, nprocs, scheme=scheme, costs=costs)
-        est = estimate_workqueue(njobs, nprocs, costs=costs, scheme=scheme)
-        assert est.makespan == pytest.approx(
-            real.stats.makespan, rel=CALIBRATION_RTOL
-        )
-
-    @pytest.mark.parametrize("stage", [0, 1, 2])
-    def test_fft_stages_exact(self, stage, hand_makespans):
-        est = estimate_program(fft3d_source(N, P, stage), P)
-        assert est.makespan == hand_makespans[stage]
-
-    def test_message_accounting_matches_engine(self):
-        real = run_fft3d(N, P, 1)
-        est = estimate_program(fft3d_source(N, P, 1), P)
-        assert est.total_messages == real.stats.total_messages
-        assert est.total_bytes == real.stats.total_bytes
-
-    def test_data_dependent_program_rejected(self):
-        src = """array A[1:4] dist (BLOCK) seg (1)
-scalar a
-iown(A[1]) : {
-  a = A[1]
-}
-do i = 1, a
-  A[i] = 0
-enddo
-"""
-        with pytest.raises(EstimateError):
-            estimate_program(src, 2)
 
 
 class TestSpace:

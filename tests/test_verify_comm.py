@@ -162,6 +162,15 @@ mypid == 3 : {
         assert "data-dependent-rule" in {f.code for f in r.warnings}
         assert r.ok  # conservative warning, not an error
 
+    def test_integer_modulo_by_zero_is_static(self):
+        # `%` by zero yields 0 as on the engine, so the rule stays static.
+        r = verify(DECLS + """
+scalar b
+b = 0
+iown(A[5 % b + 1]) : { A[5 % b + 1] = 7 }
+""")
+        assert r.clean and r.warnings == []
+
     def test_symbolic_loop_waives(self):
         r = verify(DECLS + """
 scalar i
